@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.  Complex
 numbers serialize as {"re": ..., "im": ...}; matrices as nested arrays.
-Irrational parameters are accepted through a small expression parser
+Irrational parameters are accepted through a small expression evaluator
 (numbers, + - * /, parentheses, sqrt(), the imaginary unit i), so exact
 fixtures like 2-sqrt(3) can be passed without decimal truncation.
 """
@@ -10,13 +10,16 @@ fixtures like 2-sqrt(3) can be passed without decimal truncation.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
+import re
 import sys
 
 import numpy as np
 
-from . import geodesic, periods, w9
+from . import __version__, geodesic, periods, w9
 from .errors import ParameterError, W9Error
 from .quadrature import QuadConfig
 from .siegel import min_eig_im
@@ -29,102 +32,40 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# expression mini-parser
+# expression evaluator
+
+# "<number>i" and a lone "i" become Python imaginary literals ("4i" -> "4j")
+_IMAGINARY = re.compile(r"(?<![\w.])(\d+\.?\d*|\.\d+)?\s*i(?!\w)")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-class _ExprParser:
-    """Recursive-descent parser for numeric expressions over the complex
-    numbers: literals, + - * / and unary minus, parentheses, sqrt(x), i."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> complex:
-        val = self._expr()
-        self._skip()
-        if self.pos != len(self.text):
-            raise UsageError(f"trailing input at column {self.pos}: "
-                             f"{self.text[self.pos:]!r}")
-        return val
-
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _expr(self) -> complex:
-        val = self._term()
-        while self._peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self._term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
-    def _term(self) -> complex:
-        val = self._factor()
-        while self._peek() in ("*", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self._factor()
-            if op == "/":
-                if rhs == 0:
-                    raise UsageError("division by zero in expression")
-                val = val / rhs
-            else:
-                val = val * rhs
-        return val
-
-    def _factor(self) -> complex:
-        ch = self._peek()
-        if ch == "-":
-            self.pos += 1
-            return -self._factor()
-        if ch == "+":
-            self.pos += 1
-            return self._factor()
-        if ch == "(":
-            self.pos += 1
-            val = self._expr()
-            if self._peek() != ")":
-                raise UsageError("missing closing parenthesis")
-            self.pos += 1
-            return val
-        if ch.isdigit() or ch == ".":
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isdigit()
-                                                 or self.text[self.pos] == "."):
-                self.pos += 1
-            num = complex(float(self.text[start:self.pos]))
-            if self._peek() == "i":
-                self.pos += 1
-                num *= 1j
-            return num
-        if self.text.startswith("sqrt", self.pos):
-            self.pos += 4
-            if self._peek() != "(":
-                raise UsageError("sqrt needs parentheses")
-            self.pos += 1
-            val = self._expr()
-            if self._peek() != ")":
-                raise UsageError("missing closing parenthesis after sqrt")
-            self.pos += 1
-            if val.imag == 0 and val.real >= 0:
-                return complex(math.sqrt(val.real))
-            return complex(val) ** 0.5
-        if ch == "i":
-            self.pos += 1
-            return 1j
-        raise UsageError(f"cannot parse expression at column {self.pos}: "
-                         f"{self.text[self.pos:]!r}")
+def _eval_node(node) -> complex:
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+        return complex(node.value)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_eval_node(node.left), _eval_node(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_eval_node(node.operand))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sqrt" and len(node.args) == 1
+            and not node.keywords):
+        val = _eval_node(node.args[0])
+        if val.imag == 0 and val.real >= 0:
+            return complex(math.sqrt(val.real))  # exact fixtures: 2-sqrt(3)
+        return val ** 0.5
+    raise UsageError(f"unsupported expression {ast.unparse(node)!r}")
 
 
 def parse_expr(text: str) -> complex:
-    return _ExprParser(text).parse()
+    """Numeric expression over the complex numbers: literals, + - * / and
+    unary signs, parentheses, sqrt(x), the imaginary unit i."""
+    source = _IMAGINARY.sub(lambda m: (m.group(1) or "1") + "j", text).strip()
+    try:
+        return _eval_node(ast.parse(source, mode="eval").body)
+    except (SyntaxError, ValueError, ArithmeticError) as exc:
+        raise UsageError(f"cannot evaluate expression {text!r}: {exc}") from exc
 
 
 def parse_real(text: str, what: str) -> float:
@@ -237,7 +178,7 @@ def _meta(args) -> dict:
         "quad_tol": args.quad_tol,
         "series_tol": args.series_tol,
         "root_tol": args.root_tol,
-        "calibration": periods.CALIBRATION_SHA256,
+        "version": __version__,
     }
 
 
@@ -376,7 +317,6 @@ def _verify_one(s: float, args) -> tuple[list[dict], bool]:
 
 
 def cmd_verify(args) -> int:
-    periods.load_calibration()
     if (args.s is None) == (args.grid is None):
         raise UsageError("give exactly one of --s or --grid")
     if args.s is not None:
@@ -467,7 +407,6 @@ def _add_global_flags(parser, suppress: bool) -> None:
     parser.add_argument("--quad-tol", type=float, default=default(1e-11))
     parser.add_argument("--series-tol", type=float, default=default(1e-12))
     parser.add_argument("--root-tol", type=float, default=default(1e-10))
-    parser.add_argument("--membership-tol", type=float, default=default(1e-8))
     parser.add_argument("--format", choices=("json", "csv"),
                         default=default("json"))
     parser.add_argument("--out", default=default(None))

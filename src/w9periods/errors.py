@@ -25,10 +25,6 @@ class PathError(W9Error):
     """An integration path passes too close to a foreign branch point."""
 
 
-class TrackingError(W9Error):
-    """Continuous branch tracking of sqrt(P) became ambiguous."""
-
-
 class AccuracyError(W9Error):
     """Quadrature failed to converge to the requested tolerance."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, ParameterError
+from .errors import BracketError, ParameterError, W9Error
 from .theta import DEFAULT_POLICY, TruncationPolicy, _cube, _shell_sum, \
     truncation_radius
 
@@ -229,7 +229,7 @@ def trace(t_start: float, t_end: float, steps: int,
                 if window is None:
                     raise
                 pt = solve_y(t, cfg, policy, None)
-        except Exception as exc:  # noqa: BLE001 - recorded, not dropped
+        except W9Error as exc:  # recorded, not dropped
             nan2 = np.full((2, 2), math.nan, dtype=complex)
             nan3 = np.full((3, 3), math.nan, dtype=complex)
             points.append(GeodesicPoint(t, math.nan, nan2, nan3, math.nan,

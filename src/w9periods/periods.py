@@ -7,77 +7,38 @@ integrated; they are eliminated with the relations
 sum delta_{2j} = sum delta_{2j-1} = 0, so every basis row below is an
 integer combination of finite arcs only.
 
-The square-root determination on each arc is anchored at the arc midpoint
-by the principal-branch product prod_j sqrt(x - x_j) and extended along
-the arc by continuity tracking.  On the real axis approached from above
-this product is the unique determination that is continuous on the upper
-half-plane, so the anchors of all real arcs are automatically consistent;
-sqrt_determination verifies this by explicit chain tracking.
-
-Cycle orientations are not visible to a quadrature engine.  The per-arc
-orientation signs were calibrated once against the exactly known period
-matrices of the 3-square-tiled surface (s = 2 - sqrt(3)) and are frozen
-below; continuity of the periods in s keeps the calibration valid on the
-whole family.  `calibrate_orientation_signs` reproduces the tables.
+Orientation convention: each arc is integrated from its start to its end
+point, in the order build_cycles lists the arcs, and the square root on
+it is anchored at the arc midpoint by the principal-branch product
+prod_j sqrt(x - x_j), then extended along the arc by continuity
+tracking.  On the real axis approached from above this product is the
+unique determination that is continuous on the upper half-plane, so the
+anchors of all real arcs are consistent without any per-arc sign.  The
+convention reproduces the exactly known period matrices of the
+3-square-tiled surface (s = 2 - sqrt(3)) and tau = i for y^2 = x^3 - x;
+test_period_matrix_genus2_fixture, test_period_matrix_cover_fixture,
+test_period_ratio_elliptic and acceptance criteria 3 and 8 pin it, and the
+chain-tracking test in tests/test_periods.py checks that the midpoint
+anchors of the genus-2 arcs agree with continuation between arcs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import (AccuracyError, DegeneracyError, LayoutError,
-                     ParameterError, PathError, TrackingError)
+                     ParameterError, PathError)
 from .quadrature import DEFAULT_QUAD, QuadConfig, integrate_levels, tanh_sinh_nodes
-from .siegel import is_riemann_matrix, lu_solve, standard_j
+from .siegel import is_riemann_matrix, lu_solve
 
 MIN_ROOT_SEPARATION = 1e-12
 CLEARANCE_FACTOR = 1e-3
 
-# Frozen orientation calibration (see module docstring).  Signs are listed
-# per arc eps_1, eps_2, ... ; unused and infinite arcs carry +1.
-GENUS2_SIGNS = (1, 1, 1, 1, 1, 1)
-COVER_SIGNS = (1, 1, 1, 1, 1, 1, 1, 1)
-ELLIPTIC_SIGNS = (1, 1, 1, 1)
-
 LAYOUT_GENUS2 = "real_mcurve_genus2"
 LAYOUT_COVER = "cover_genus3"
 LAYOUT_ELLIPTIC = "elliptic"
-
-# sha256 of data/calibration.json as shipped; load_calibration refuses a
-# file that does not hash to this, so the one empirically fixed artifact
-# stays auditable.
-CALIBRATION_SHA256 = \
-    "72aceecb8de86a4d63be02f86f8329419c61fc9c0d824ecdce4c0cb886e3b887"
-
-
-def load_calibration() -> dict:
-    """Frozen orientation tables from the versioned data file.
-
-    Raises AccuracyError if the file hash or its tables disagree with the
-    module constants compiled in above.
-    """
-    import hashlib
-    import json
-    from importlib import resources
-
-    text = (resources.files("w9periods") / "data/calibration.json").read_text()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    if digest != CALIBRATION_SHA256:
-        raise AccuracyError(
-            f"calibration file hash {digest[:12]}... does not match the "
-            f"build ({CALIBRATION_SHA256[:12]}...)"
-        )
-    tables = json.loads(text)["tables"]
-    expected = {LAYOUT_GENUS2: GENUS2_SIGNS, LAYOUT_COVER: COVER_SIGNS,
-                LAYOUT_ELLIPTIC: ELLIPTIC_SIGNS}
-    for name, signs in expected.items():
-        if tuple(tables[name]) != signs:
-            raise AccuracyError(f"calibration table {name} disagrees with build")
-    return tables
 
 
 @dataclass(frozen=True)
@@ -120,15 +81,17 @@ class ArcPath:
 
 @dataclass(frozen=True)
 class CyclePlan:
-    """Arcs, orientation signs and integer basis rows for one layout.
+    """Arcs and integer basis rows for one layout.
 
     Rows are integer vectors over the full cyclic arc list delta_1..delta_n
     (n = 2g + 2); entries over infinite arcs (stored as None) are zero.
+    Each finite arc is oriented from start to end and carries the square
+    root anchored at its midpoint (see the module docstring), so a row
+    is the plain integer combination of arc integrals.
     """
 
     layout: str
     arcs: tuple[ArcPath | None, ...]
-    orientation_signs: tuple[int, ...]
     alpha_rows: tuple[tuple[int, ...], ...]
     beta_rows: tuple[tuple[int, ...], ...]
 
@@ -180,13 +143,12 @@ def _check_clearance(curve: HyperellipticCurve, path: ArcPath) -> None:
 def _track_signs(w: np.ndarray, anchor_index: int,
                  anchor_value: complex) -> np.ndarray:
     """Sign table making the square-root samples w continuous from the anchor."""
-    flips = np.ones(len(w))
     ratio_flip = np.where((w[1:] / w[:-1]).real < 0, -1.0, 1.0)
     cum = np.concatenate(([1.0], np.cumprod(ratio_flip)))
     signs = cum / cum[anchor_index]
     if abs(w[anchor_index] - anchor_value) > abs(w[anchor_index] + anchor_value):
         signs = -signs
-    return signs * flips
+    return signs
 
 
 def _principal_anchor(roots, x0: complex) -> complex:
@@ -219,11 +181,8 @@ def _sqrt_p_on_nodes(curve: HyperellipticCurve, path: ArcPath, level: int):
 
 
 def arc_integrals(curve: HyperellipticCurve, path: ArcPath, ks,
-                  quad: QuadConfig = DEFAULT_QUAD, branch_sign: int = 1,
-                  level: int | None = None) -> np.ndarray:
+                  quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Integrals of x^(k-1) dx / sqrt(P) along the arc, one entry per k."""
-    if branch_sign not in (1, -1):
-        raise ParameterError("branch_sign must be +1 or -1")
     _check_clearance(curve, path)
     ks = list(ks)
 
@@ -232,17 +191,15 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath, ks,
         base = w / sq
         return np.array([half * np.sum(base * x ** (k - 1)) for k in ks])
 
-    return branch_sign * integrate_levels(estimate, quad, level)
+    return integrate_levels(estimate, quad)
 
 
 def integrate_arc(curve: HyperellipticCurve, path: ArcPath, k: int,
-                  branch_sign: int = 1,
-                  quad: QuadConfig = DEFAULT_QUAD,
-                  level: int | None = None) -> complex:
+                  quad: QuadConfig = DEFAULT_QUAD) -> complex:
     """Single abelian arc integral of x^(k-1) dx / sqrt(P)."""
     if k < 1 or k > curve.genus:
         raise ParameterError(f"k={k} outside 1..{curve.genus}")
-    return complex(arc_integrals(curve, path, [k], quad, branch_sign, level)[0])
+    return complex(arc_integrals(curve, path, [k], quad)[0])
 
 
 def _approx_index(values, target, tol=1e-9):
@@ -267,7 +224,7 @@ def build_cycles(curve: HyperellipticCurve, layout: str) -> CyclePlan:
         arcs = tuple(ArcPath(ordered[i], ordered[i + 1]) for i in range(4)) + (None, None)
         alpha = ((1, 1, 0, 1, 0, 0), (0, 0, 0, 1, 0, 0))
         beta = ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))
-        return CyclePlan(layout, arcs, GENUS2_SIGNS, alpha, beta)
+        return CyclePlan(layout, arcs, alpha, beta)
 
     if layout == LAYOUT_COVER:
         if len(pts) != 8:
@@ -294,7 +251,7 @@ def build_cycles(curve: HyperellipticCurve, layout: str) -> CyclePlan:
             (0, 0, 0, 1, 0, 0, 0, 0),
             (0, 0, 0, 0, 0, 1, 0, 0),
         )
-        return CyclePlan(layout, arcs, COVER_SIGNS, alpha, beta)
+        return CyclePlan(layout, arcs, alpha, beta)
 
     if layout == LAYOUT_ELLIPTIC:
         if len(pts) != 3 or any(abs(p.imag) > 1e-9 for p in pts):
@@ -302,77 +259,9 @@ def build_cycles(curve: HyperellipticCurve, layout: str) -> CyclePlan:
         xs = sorted(p.real for p in pts)
         arcs = (ArcPath(complex(xs[0]), complex(xs[1])),
                 ArcPath(complex(xs[1]), complex(xs[2])), None, None)
-        return CyclePlan(layout, arcs, ELLIPTIC_SIGNS,
-                         ((0, 1, 0, 0),), ((1, 0, 0, 0),))
+        return CyclePlan(layout, arcs, ((0, 1, 0, 0),), ((1, 0, 0, 0),))
 
     raise LayoutError(f"unknown layout {layout!r}")
-
-
-def _track_along_polyline(curve: HyperellipticCurve, points, start_value: complex,
-                          samples: int = 512) -> complex:
-    """Continue sqrt(P) from points[0] to points[-1]; returns the end value."""
-    val = start_value
-    for z0, z1 in zip(points[:-1], points[1:]):
-        ts = np.linspace(0.0, 1.0, samples)
-        xs = z0 + (z1 - z0) * ts
-        P = np.ones(samples, dtype=complex)
-        for r in curve.branch_points:
-            P *= xs - r
-        sq = np.sqrt(P)
-        if float(np.abs(sq).min()) < 1e-13:
-            raise TrackingError("tracking path passes through a branch point")
-        signs = _track_signs(sq, 0, val)
-        val = signs[-1] * sq[-1]
-    return val
-
-
-def _detour_point(curve: HyperellipticCurve, m0: complex, m1: complex) -> complex:
-    """Deterministic waypoint between two arc midpoints, clear of branch points."""
-    q = 0.5 * (m0 + m1)
-    L = abs(m1 - m0)
-    floor = 10 * curve.clearance()
-    for d in (0.4 * L, -0.4 * L, 0.8 * L, -0.8 * L, 1.6 * L, -1.6 * L):
-        p = q + 1j * d
-        ok = all(
-            min(_segment_distance(m0, p, r), _segment_distance(p, m1, r)) >= floor
-            for r in curve.branch_points
-        )
-        if ok:
-            return p
-    raise TrackingError("no clear detour between arc midpoints")
-
-
-def sqrt_determination(curve: HyperellipticCurve, plan: CyclePlan,
-                       reference: int = 0, sign: int = 1) -> dict[int, int]:
-    """Per-arc branch signs of the continuous determination of sqrt(P).
-
-    The determination is fixed on the reference arc (sign relative to the
-    midpoint principal-branch anchor) and extended arc to arc by
-    continuity tracking along waypoints between consecutive midpoints.
-    Returns {arc_index: +-1} relative to each arc's principal anchor.
-    """
-    if sign not in (1, -1):
-        raise ParameterError("sign must be +1 or -1")
-    finite = [i for i, a in enumerate(plan.arcs) if a is not None]
-    if reference not in finite:
-        raise ParameterError(f"reference arc {reference} is not a finite arc")
-    mids = {i: 0.5 * (plan.arcs[i].start + plan.arcs[i].end) for i in finite}
-    anchors = {i: _principal_anchor(curve.branch_points, mids[i]) for i in finite}
-    table = {reference: sign}
-    pos = finite.index(reference)
-    for chain in (finite[pos + 1:], finite[:pos][::-1]):
-        prev = reference
-        for i in chain:
-            p = _detour_point(curve, mids[prev], mids[i])
-            val = _track_along_polyline(
-                curve, [mids[prev], p, mids[i]], table[prev] * anchors[prev]
-            )
-            rel = val / anchors[i]
-            if abs(abs(rel) - 1) > 1e-6:
-                raise TrackingError("branch tracking lost unit magnitude")
-            table[i] = 1 if rel.real > 0 else -1
-            prev = i
-    return table
 
 
 @dataclass(frozen=True)
@@ -384,18 +273,14 @@ class PeriodPair:
 
 
 def period_matrices(curve: HyperellipticCurve, plan: CyclePlan,
-                    quad: QuadConfig = DEFAULT_QUAD,
-                    level: int | None = None) -> PeriodPair:
+                    quad: QuadConfig = DEFAULT_QUAD) -> PeriodPair:
     """Assemble A and B from the plan's integer combinations of arc integrals."""
     g = plan.genus
     if curve.genus != g:
         raise LayoutError(f"curve genus {curve.genus} != plan genus {g}")
     ks = range(1, g + 1)
-    integrals = {
-        i: plan.orientation_signs[i]
-        * arc_integrals(curve, plan.arcs[i], ks, quad, level=level)
-        for i in plan.used_arcs()
-    }
+    integrals = {i: arc_integrals(curve, plan.arcs[i], ks, quad)
+                 for i in plan.used_arcs()}
     def assemble(rows):
         M = np.zeros((g, g), dtype=complex)
         for j, row in enumerate(rows):
@@ -407,70 +292,11 @@ def period_matrices(curve: HyperellipticCurve, plan: CyclePlan,
 
 
 def period_matrix(curve: HyperellipticCurve, plan: CyclePlan,
-                  quad: QuadConfig = DEFAULT_QUAD,
-                  level: int | None = None) -> np.ndarray:
+                  quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Z = A B^-1, validated as a Riemann matrix at quadrature tolerance."""
-    pair = period_matrices(curve, plan, quad, level)
+    pair = period_matrices(curve, plan, quad)
     Z = lu_solve(pair.B.T, pair.A.T).T
     tol = max(1e-10, 100 * quad.tol)
     if not is_riemann_matrix(Z, tol):
         raise AccuracyError("computed A B^-1 is not a Riemann matrix")
     return Z
-
-
-def calibrate_orientation_signs(layout: str,
-                                quad: QuadConfig = DEFAULT_QUAD):
-    """Re-derive the frozen orientation sign tables from the exact fixtures.
-
-    Searches the per-arc sign assignments (first used arc fixed to +1; a
-    global flip leaves A B^-1 unchanged) for the one reproducing the known
-    period matrix of the 3-square-tiled surface, or tau = i for the
-    elliptic sanity layout.
-    """
-    s = 2 - math.sqrt(3)
-    if layout == LAYOUT_GENUS2:
-        a, b, c = s * s, 1.0, (2 + math.sqrt(3)) ** 2
-        curve = HyperellipticCurve((-1.0, 0.0, a, b, c))
-        target = np.array([[1 + 5j / 3, 4j / 3], [4j / 3, 5j / 3]])
-    elif layout == LAYOUT_COVER:
-        a, c = s, 2 + math.sqrt(3)
-        curve = HyperellipticCurve((-c, -1.0, -a, 1j, -1j, a, 1.0, c))
-        target = np.array([[4j / 3, 2j / 3, 1j / 3],
-                           [2j / 3, 0.5 + 5j / 6, 2j / 3],
-                           [1j / 3, 2j / 3, 4j / 3]])
-    elif layout == LAYOUT_ELLIPTIC:
-        curve = HyperellipticCurve((-1.0, 0.0, 1.0))
-        target = np.array([[1j]])
-    else:
-        raise LayoutError(f"unknown layout {layout!r}")
-
-    plan = build_cycles(curve, layout)
-    used = plan.used_arcs()
-    g = plan.genus
-    raw = {i: arc_integrals(curve, plan.arcs[i], range(1, g + 1), quad)
-           for i in used}
-    best = None
-    for signs in product((1, -1), repeat=len(used) - 1):
-        table = dict(zip(used, (1,) + signs))
-        def assemble(rows):
-            M = np.zeros((g, g), dtype=complex)
-            for j, row in enumerate(rows):
-                for i, coef in enumerate(row):
-                    if coef != 0:
-                        M[j] += coef * table[i] * raw[i]
-            return M
-        B = assemble(plan.beta_rows)
-        try:
-            Z = lu_solve(B.T, assemble(plan.alpha_rows).T).T
-        except Exception:
-            continue
-        err = float(np.abs(Z - target).max())
-        if err < 1e-6:
-            best = table
-            break
-    if best is None:
-        raise AccuracyError(f"no orientation signs reproduce the {layout} fixture")
-    full = [1] * len(plan.arcs)
-    for i, v in best.items():
-        full[i] = v
-    return tuple(full)

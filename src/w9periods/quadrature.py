@@ -60,17 +60,13 @@ def tanh_sinh_nodes(level: int):
     return u, one_minus, one_plus, w
 
 
-def integrate_levels(eval_terms, cfg: QuadConfig = DEFAULT_QUAD,
-                     level: int | None = None):
+def integrate_levels(eval_terms, cfg: QuadConfig = DEFAULT_QUAD):
     """Drive eval_terms(level) -> vector of integral values to convergence.
 
     eval_terms must return the full tanh-sinh estimate at the given level
     (an ndarray, one entry per simultaneous integrand).  Refinement stops
     when two successive levels agree within cfg.tol in every component.
-    With an explicit level, a single fixed-depth evaluation is returned.
     """
-    if level is not None:
-        return eval_terms(level)
     prev = eval_terms(cfg.min_level)
     for lev in range(cfg.min_level + 1, cfg.max_level + 1):
         cur = eval_terms(lev)

@@ -33,10 +33,8 @@ from .theta import (DEFAULT_POLICY, ThetaCharacteristic, TruncationPolicy,
 
 SQRT3 = math.sqrt(3.0)
 
-# Residual tolerances for coincidence conditions: one regime for exact
-# parameters, a looser one for quadrature-derived inputs.
+# Residual tolerance for coincidence conditions on exact parameters.
 EXACT_TOL = 1e-9
-QUADRATURE_TOL = 1e-6
 
 MEMBERSHIP_CHAR = ThetaCharacteristic((1, 1, 1), (1, 0, 1))
 

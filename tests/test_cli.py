@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import Z1, ZHAT1
+import w9periods
 from w9periods import cli
 
 SQRT3 = math.sqrt(3.0)
@@ -29,12 +30,10 @@ def test_expression_parser():
     assert cli.parse_expr("4/3i") == pytest.approx(-4j / 3)
     assert cli.parse_expr("-(2+3)*2") == -10
     assert cli.parse_expr("sqrt(2)*sqrt(2)") == pytest.approx(2.0)
-    with pytest.raises(cli.UsageError):
-        cli.parse_expr("2 +")
-    with pytest.raises(cli.UsageError):
-        cli.parse_expr("foo")
-    with pytest.raises(cli.UsageError):
-        cli.parse_expr("1/0")
+    for bad in ("2 +", "foo", "1/0", "2**3", "pi", "sqrt(1,2)",
+                "__import__('os')"):
+        with pytest.raises(cli.UsageError):
+            cli.parse_expr(bad)
 
 
 def test_matrix_literal_parsing():
@@ -61,7 +60,7 @@ def test_periods_cover_fixture(capsys, tmp_path):
     data = json.loads(out_file.read_text())
     assert np.abs(as_matrix(data["Zhat"]) - ZHAT1).max() < 1e-6
     assert np.abs(as_matrix(data["Z"]) - Z1).max() < 1e-6
-    assert data["metadata"]["calibration"]
+    assert data["metadata"]["version"] == w9periods.__version__
 
 
 def test_periods_usage_errors(capsys):
@@ -70,6 +69,8 @@ def test_periods_usage_errors(capsys):
     code, _, err = run(capsys, "periods", "--roots=-1,0,1,2,3",
                        "--basis", "elliptic")
     assert code == 1 and "3 roots" in err
+    code, _, _ = run(capsys, "periods", "--s", "0.2", "--membership-tol", "1e-8")
+    assert code == 1
 
 
 def test_periods_numerical_error_exit_code(capsys):

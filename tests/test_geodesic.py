@@ -6,7 +6,8 @@ import pytest
 from conftest import Z1, ZHAT1
 from w9periods import geodesic as geo
 from w9periods import w9
-from w9periods.errors import ParameterError, ShapeMismatchError
+from w9periods.errors import (ParameterError, ShapeMismatchError,
+                              TruncationError)
 from w9periods.periods import LAYOUT_COVER, build_cycles, period_matrix
 from w9periods.siegel import base_change, is_riemann_matrix
 from w9periods.theta import ThetaCharacteristic, theta_char
@@ -137,6 +138,25 @@ def test_trace_grid_refinement_is_consistent():
     fine = {round(p.t, 9): p.y for p in geo.trace(1.0, 3.0, 9)}
     for p in coarse:
         assert abs(fine[round(p.t, 9)] - p.y) < 1e-8
+
+
+def _raising(exc):
+    def solve_y(*args, **kwargs):
+        raise exc
+    return solve_y
+
+
+def test_trace_records_library_errors(monkeypatch):
+    monkeypatch.setattr(geo, "solve_y", _raising(TruncationError("radius")))
+    (pt,) = geo.trace(1.0, 1.0, 1)
+    assert pt.flags == ("error:TruncationError",)
+    assert math.isnan(pt.y)
+
+
+def test_trace_propagates_programming_errors(monkeypatch):
+    monkeypatch.setattr(geo, "solve_y", _raising(TypeError("bug")))
+    with pytest.raises(TypeError):
+        geo.trace(1.0, 1.0, 1)
 
 
 def test_extract_ty_roundtrip():

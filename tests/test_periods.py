@@ -7,11 +7,10 @@ from conftest import S_SQUARE, Z1, ZHAT1, agm
 from w9periods.errors import (DegeneracyError, LayoutError, ParameterError,
                               PathError)
 from w9periods.periods import (LAYOUT_COVER, LAYOUT_ELLIPTIC, LAYOUT_GENUS2,
-                               ArcPath, HyperellipticCurve,
-                               calibrate_orientation_signs, arc_integrals,
-                               build_cycles, integrate_arc, load_calibration,
-                               period_matrices, period_matrix,
-                               sqrt_determination)
+                               ArcPath, HyperellipticCurve, _principal_anchor,
+                               _segment_distance, _track_signs, arc_integrals,
+                               build_cycles, integrate_arc, period_matrices,
+                               period_matrix)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -70,13 +69,6 @@ def test_arc_integrals_vector_matches_scalar():
         assert abs(both[k - 1] - integrate_arc(curve, path, k)) < 1e-13
 
 
-def test_branch_sign_flips_value():
-    curve = elliptic_curve()
-    path = ArcPath(0.0, 1.0)
-    assert abs(integrate_arc(curve, path, 1, branch_sign=-1)
-               + integrate_arc(curve, path, 1)) < 1e-13
-
-
 def test_clearance_guard():
     # a segment passing right through a foreign branch point
     curve = HyperellipticCurve((-1.0, 0.0, 0.5, 1.0, 2.0))
@@ -108,6 +100,51 @@ def test_intersection_form_real_layouts():
     assert np.array_equal(
         build_cycles(elliptic_curve(), LAYOUT_ELLIPTIC).intersection_matrix(),
         np.array([[0, -1], [1, 0]]))
+
+
+def _track_along_polyline(curve, points, start_value, samples=512):
+    """Continue sqrt(P) from points[0] to points[-1]; returns the end value."""
+    val = start_value
+    for z0, z1 in zip(points[:-1], points[1:]):
+        xs = z0 + (z1 - z0) * np.linspace(0.0, 1.0, samples)
+        P = np.ones(samples, dtype=complex)
+        for r in curve.branch_points:
+            P *= xs - r
+        sq = np.sqrt(P)
+        assert float(np.abs(sq).min()) >= 1e-13, "path meets a branch point"
+        val = _track_signs(sq, 0, val)[-1] * sq[-1]
+    return val
+
+
+def _detour_point(curve, m0, m1):
+    """Deterministic waypoint between two arc midpoints, clear of branch points."""
+    q = 0.5 * (m0 + m1)
+    L = abs(m1 - m0)
+    floor = 10 * curve.clearance()
+    for d in (0.4 * L, -0.4 * L, 0.8 * L, -0.8 * L, 1.6 * L, -1.6 * L):
+        p = q + 1j * d
+        if all(min(_segment_distance(m0, p, r), _segment_distance(p, m1, r))
+               >= floor for r in curve.branch_points):
+            return p
+    raise AssertionError("no clear detour between arc midpoints")
+
+
+def sqrt_determination(curve, plan):
+    """Per-arc signs, relative to each arc's midpoint principal anchor, of
+    the determination of sqrt(P) fixed by the anchor on the first finite
+    arc and continued arc to arc along waypoints between midpoints."""
+    finite = [i for i, a in enumerate(plan.arcs) if a is not None]
+    mids = {i: 0.5 * (plan.arcs[i].start + plan.arcs[i].end) for i in finite}
+    anchors = {i: _principal_anchor(curve.branch_points, mids[i]) for i in finite}
+    table = {finite[0]: 1}
+    for prev, i in zip(finite[:-1], finite[1:]):
+        p = _detour_point(curve, mids[prev], mids[i])
+        rel = _track_along_polyline(
+            curve, [mids[prev], p, mids[i]], table[prev] * anchors[prev]
+        ) / anchors[i]
+        assert abs(abs(rel) - 1) <= 1e-6, "branch tracking lost unit magnitude"
+        table[i] = 1 if rel.real > 0 else -1
+    return table
 
 
 def test_sqrt_determination_chain():
@@ -142,15 +179,3 @@ def test_period_ratio_elliptic():
     expected = math.pi / (math.sqrt(2.0) * agm(1.0, 1.0 / math.sqrt(2.0)))
     assert abs(abs(pair.A[0, 0]) - expected) < 1e-10
     assert abs(abs(pair.B[0, 0]) - expected) < 1e-10
-
-
-def test_calibration_reproducible():
-    for layout in (LAYOUT_ELLIPTIC, LAYOUT_GENUS2, LAYOUT_COVER):
-        signs = calibrate_orientation_signs(layout)
-        assert all(s == 1 for s in signs)
-
-
-def test_load_calibration_matches_build():
-    tables = load_calibration()
-    assert tuple(tables[LAYOUT_GENUS2]) == (1, 1, 1, 1, 1, 1)
-    assert tuple(tables[LAYOUT_COVER]) == (1, 1, 1, 1, 1, 1, 1, 1)

@@ -58,19 +58,6 @@ def test_inverse_sqrt_endpoint_singularities():
     assert abs(val - math.pi) < 1e-12
 
 
-def test_fixed_level_bypasses_convergence():
-    calls = []
-
-    def eval_terms(level):
-        calls.append(level)
-        u, _, _, w = tanh_sinh_nodes(level)
-        return np.array([np.sum(w * u * u)])
-
-    val = integrate_levels(eval_terms, DEFAULT_QUAD, level=8)
-    assert calls == [8]
-    assert abs(val[0] - 2.0 / 3.0) < 1e-12
-
-
 def test_nonconvergent_raises():
     rng = np.random.default_rng(0)
 
