@@ -157,7 +157,7 @@ def emit(args, payload: dict, csv_text: str | None = None) -> None:
             raise UsageError("this command has no CSV form; use --format json")
         out = csv_text
     else:
-        out = json.dumps(payload, indent=2) + "\n"
+        out = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
@@ -173,13 +173,10 @@ def _quad(args) -> QuadConfig:
     return QuadConfig(tol=args.quad_tol)
 
 
-def _meta(args) -> dict:
-    return {
-        "quad_tol": args.quad_tol,
-        "series_tol": args.series_tol,
-        "root_tol": args.root_tol,
-        "version": __version__,
-    }
+def _meta(args, *applied: str) -> dict:
+    """The settings the command applied, named in `applied`, and the version."""
+    return {**{name: getattr(args, name) for name in applied},
+            "version": __version__}
 
 
 def _base_curve_from_args(args) -> periods.HyperellipticCurve:
@@ -205,26 +202,27 @@ def cmd_periods(args) -> int:
         return 0
     curve = _base_curve_from_args(args)
     quad = _quad(args)
+    meta = _meta(args, "quad_tol")
     if args.basis == "elliptic":
         if len(curve.branch_points) != 3:
             raise UsageError("elliptic basis needs exactly 3 roots")
         plan = periods.build_cycles(curve, periods.LAYOUT_ELLIPTIC)
         Z = periods.period_matrix(curve, plan, quad)
-        emit(args, {"Z": encode_value(Z), "metadata": _meta(args)}, matrix_csv(Z))
+        emit(args, {"Z": encode_value(Z), "metadata": meta}, matrix_csv(Z))
         return 0
     if len(curve.branch_points) != 5:
         raise UsageError(f"{args.basis} basis needs exactly 5 base roots")
     if args.basis == "genus2_w9":
         plan = periods.build_cycles(curve, periods.LAYOUT_GENUS2)
         Z = periods.period_matrix(curve, plan, quad)
-        emit(args, {"Z": encode_value(Z), "metadata": _meta(args)}, matrix_csv(Z))
+        emit(args, {"Z": encode_value(Z), "metadata": meta}, matrix_csv(Z))
         return 0
     cover = w9.double_cover(curve)
     plan = periods.build_cycles(cover, periods.LAYOUT_COVER)
     Zhat = periods.period_matrix(cover, plan, quad)
     Z = w9.base_from_cover(Zhat)
     emit(args, {"Z": encode_value(Z), "Zhat": encode_value(Zhat),
-                "metadata": _meta(args)}, matrix_csv(Zhat))
+                "metadata": meta}, matrix_csv(Zhat))
     return 0
 
 
@@ -282,7 +280,10 @@ def cmd_trace(args) -> int:
         lines.append(",".join(
             (r[k] if k == "flags" else repr(float(r[k])))
             for k in TRACE_HEADER.split(",")))
-    emit(args, {"points": rows, "metadata": _meta(args)},
+    # the NaN values of a failed point are written as JSON null
+    points = [{k: v if k == "flags" or math.isfinite(v) else None
+               for k, v in r.items()} for r in rows]
+    emit(args, {"points": points, "metadata": _meta(args, "series_tol", "root_tol")},
          "\n".join(lines) + "\n")
     return 2 if any(p.flags and p.flags[0].startswith("error:") for p in pts) else 0
 
@@ -332,7 +333,7 @@ def cmd_verify(args) -> int:
         checks, good = _verify_one(float(s), args)
         all_checks.extend(checks)
         ok = ok and good
-    emit(args, {"pass": ok, "checks": all_checks, "metadata": _meta(args)})
+    emit(args, {"pass": ok, "checks": all_checks, "metadata": _meta(args, "quad_tol")})
     return 0 if ok else 2
 
 

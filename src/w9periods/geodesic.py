@@ -5,23 +5,28 @@ Stretching the surface by diag(1, t) moves its period matrix along
     Z_t = [[1 + i(2 y_t - t), i y_t], [i y_t, i(y_t / 2 + t)]],
 
 where y_t is pinned down by a scalar equation: the even theta constant
-theta[1,1,1; 0,0,0] of the transformed cover matrix Zhat'_t must vanish.
-Up to a nonzero factor exp(pi(-3t/8 + 9i/8)) that constant equals the
-real-valued triple sum main_series(t, y), whose unique root y_t > 2t/3
-is found by a sign scan plus bisection.  The bound y > 2t/3 is exactly
-positive definiteness of all the period matrices involved.
+theta[1,1,1; 0,0,0](0, Zhat'_t) of the transformed cover matrix must vanish.
+main_series(t, y) is that constant, computed by theta.theta_char, times the
+nonzero factor exp(pi(3t/8 - 9i/8)) that makes it real; its unique root
+y_t > 2t/3 is found by a sign scan plus bisection.  The bound y > 2t/3 is
+exactly positive definiteness of all the period matrices involved.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketError, ParameterError, W9Error
-from .theta import DEFAULT_POLICY, TruncationPolicy, _cube, _shell_sum, \
-    truncation_radius
+from .theta import ThetaCharacteristic, theta_char
+
+SERIES_CHAR = ThetaCharacteristic((1, 1, 1), (0, 0, 0))
+SCAN_STEP = 0.05
+SCAN_MAX_FACTOR = 5.0  # the cold scan reaches y = SCAN_MAX_FACTOR * t
+MAX_BISECTIONS = 200
 
 
 def _require_domain(t: float, y: float) -> None:
@@ -49,6 +54,10 @@ def zhat_prime(t: float, y: float) -> np.ndarray:
     """The cover matrix in the twisted basis: diagonal 1/2 + i(y - t/2),
     all off-diagonal entries 1/2 - (1/2) i (y - t)."""
     _require_domain(t, y)
+    return _zhat_prime(t, y)
+
+
+def _zhat_prime(t: float, y: float) -> np.ndarray:
     d = 0.5 + 1j * (y - 0.5 * t)
     o = 0.5 - 0.5j * (y - t)
     return np.array([[d, o, o], [o, d, o], [o, o, d]])
@@ -61,9 +70,10 @@ def z_of_ty(t: float, y: float) -> np.ndarray:
                      [1j * y, 1j * (0.5 * y + t)]])
 
 
-def main_series(t: float, y: float,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The scalar geodesic series
+def main_series(t: float, y: float) -> complex:
+    """The scalar geodesic series exp(pi(3t/8 - 9i/8)) theta[111;000](0, Zhat'_t).
+
+    Expanded, it is the triple sum
 
         sum_{k in Z^3} exp pi[(t/2 - y + i/2) sum k_l^2
                               + (y - t + i) sum_{l<m} k_l k_m
@@ -72,36 +82,26 @@ def main_series(t: float, y: float,
     Real-valued on the domain: every term's imaginary exponent part is
     pi ((1/2) sum k^2 + sum kk + (3/2) sum k) = (pi/2) sum k_l(k_l + 3)
     + pi sum_{l<m} k_l k_m, an integer multiple of pi.  Convergence needs
-    y > 2t/3 (quadratic-form eigenvalues -t/2 and -(3y/2 - t)).
+    y > 2t/3 (Im Zhat'_t has eigenvalues t/2 and 3y/2 - t).  theta_char's
+    tail bound sets the truncation; with z = 0 its radius depends only on
+    min(t/2, 3y/2 - t).  Defined for all t > 0, unlike zhat_prime.
     """
     if t <= 0 or y <= 2.0 * t / 3.0:
         raise ParameterError(
             f"series diverges at (t, y) = ({t}, {y}): need t > 0 and y > 2t/3"
         )
-    lam = min(0.5 * t, 1.5 * y - t)
-    radius = truncation_radius(lam, 3, policy, im_z_norm=0.25 * t)
-    k, shell = _cube(3, radius)
-    s0 = k.sum(axis=1)
-    s1 = (k * k).sum(axis=1)
-    s2 = (s0 * s0 - s1) // 2
-    expo = math.pi * ((0.5 * t - y + 0.5j) * s1 + (y - t + 1j) * s2
-                      + (1.5j - 0.5 * t) * s0)
-    return _shell_sum(np.exp(expo), shell, radius)
+    theta = theta_char(SERIES_CHAR, np.zeros(3), _zhat_prime(t, y))
+    return cmath.exp(math.pi * (0.375 * t - 1.125j)) * theta
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     series_tol: float = 1e-12
     root_tol: float = 1e-10
-    scan_step: float = 0.05
-    scan_max_factor: float = 5.0  # scan up to y = factor * t
-    max_bisections: int = 200
 
     def __post_init__(self):
-        vals = (self.series_tol, self.root_tol, self.scan_step,
-                self.scan_max_factor, self.max_bisections)
-        if any(v <= 0 for v in vals):
-            raise ParameterError("all solver settings must be positive")
+        if self.series_tol <= 0 or self.root_tol <= 0:
+            raise ParameterError("series_tol and root_tol must be positive")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -119,17 +119,17 @@ class GeodesicPoint:
     flags: tuple[str, ...] = ()
 
 
-def _series_value(t: float, y: float, policy: TruncationPolicy) -> float:
-    return main_series(t, y, policy).real
+def _series_value(t: float, y: float) -> float:
+    return main_series(t, y).real
 
 
 def _bisect(t: float, lo: float, hi: float, f_lo: float,
-            cfg: SolverConfig, policy: TruncationPolicy) -> float:
-    for _ in range(cfg.max_bisections):
+            cfg: SolverConfig) -> float:
+    for _ in range(MAX_BISECTIONS):
         if hi - lo <= cfg.root_tol:
             break
         mid = 0.5 * (lo + hi)
-        f_mid = _series_value(t, mid, policy)
+        f_mid = _series_value(t, mid)
         if f_mid == 0.0:
             return mid
         if (f_mid > 0) == (f_lo > 0):
@@ -139,29 +139,28 @@ def _bisect(t: float, lo: float, hi: float, f_lo: float,
     # secant polish: the bracket is already tiny, a couple of steps push
     # the residual to series level without leaving it
     y0, y1 = lo, hi
-    f0, f1 = _series_value(t, y0, policy), _series_value(t, y1, policy)
+    f0, f1 = _series_value(t, y0), _series_value(t, y1)
     for _ in range(8):
         if f1 == f0:
             break
         y2 = y1 - f1 * (y1 - y0) / (f1 - f0)
         if not lo - cfg.root_tol <= y2 <= hi + cfg.root_tol:
             break
-        y0, f0, y1, f1 = y1, f1, y2, _series_value(t, y2, policy)
+        y0, f0, y1, f1 = y1, f1, y2, _series_value(t, y2)
         if abs(f1) < cfg.series_tol:
             break
     return y1
 
 
-def _scan_brackets(t: float, lo: float, hi: float, step: float,
-                   policy: TruncationPolicy):
+def _scan_brackets(t: float, lo: float, hi: float):
     """All sign-change brackets of the series on the scan grid [lo, hi]."""
     brackets = []
     y_prev = lo
-    f_prev = _series_value(t, y_prev, policy)
-    n = max(1, math.ceil((hi - lo) / step))
+    f_prev = _series_value(t, y_prev)
+    n = max(1, math.ceil((hi - lo) / SCAN_STEP))
     for i in range(1, n + 1):
-        y = min(lo + i * step, hi)
-        f = _series_value(t, y, policy)
+        y = min(lo + i * SCAN_STEP, hi)
+        f = _series_value(t, y)
         if f == 0.0 or (f > 0) != (f_prev > 0):
             brackets.append((y_prev, y, f_prev))
         y_prev, f_prev = y, f
@@ -169,11 +168,10 @@ def _scan_brackets(t: float, lo: float, hi: float, step: float,
 
 
 def solve_y(t: float, cfg: SolverConfig = DEFAULT_SOLVER,
-            policy: TruncationPolicy = DEFAULT_POLICY,
             scan_window: tuple[float, float] | None = None) -> GeodesicPoint:
     """Root of main_series(t, .) in y > 2t/3 by sign scan plus bisection.
 
-    The scan covers (2t/3 + scan_step, scan_max_factor * t) unless an
+    The scan covers (2t/3 + SCAN_STEP, SCAN_MAX_FACTOR * t) unless an
     explicit scan_window narrows it (used for warm starts).  Every sign
     change found is audited: extra ones are flagged, never dropped.
     Raises BracketError when the scan finds no sign change.
@@ -182,11 +180,11 @@ def solve_y(t: float, cfg: SolverConfig = DEFAULT_SOLVER,
         raise ParameterError(f"t = {t} must be >= 1")
     floor = 2.0 * t / 3.0
     if scan_window is None:
-        lo, hi = floor + cfg.scan_step, cfg.scan_max_factor * t
+        lo, hi = floor + SCAN_STEP, SCAN_MAX_FACTOR * t
     else:
-        lo = max(scan_window[0], floor + cfg.scan_step)
-        hi = max(scan_window[1], lo + cfg.scan_step)
-    brackets = _scan_brackets(t, lo, hi, cfg.scan_step, policy)
+        lo = max(scan_window[0], floor + SCAN_STEP)
+        hi = max(scan_window[1], lo + SCAN_STEP)
+    brackets = _scan_brackets(t, lo, hi)
     if not brackets:
         raise BracketError(
             f"no sign change of the series for t = {t} in y in ({lo:g}, {hi:g})"
@@ -194,14 +192,13 @@ def solve_y(t: float, cfg: SolverConfig = DEFAULT_SOLVER,
     flags = ()
     if len(brackets) > 1:
         flags = ("multiple_sign_changes",)
-    y = _bisect(t, *brackets[0], cfg, policy)
-    residual = abs(main_series(t, y, policy))
+    y = _bisect(t, *brackets[0], cfg)
+    residual = abs(main_series(t, y))
     return GeodesicPoint(t, y, z_of_ty(t, y), zhat_of_ty(t, y), residual, flags)
 
 
 def trace(t_start: float, t_end: float, steps: int,
-          cfg: SolverConfig = DEFAULT_SOLVER,
-          policy: TruncationPolicy = DEFAULT_POLICY) -> list[GeodesicPoint]:
+          cfg: SolverConfig = DEFAULT_SOLVER) -> list[GeodesicPoint]:
     """solve_y over a uniform t grid, warm-starting from the previous root.
 
     Every 10th point runs the full cold scan as a drift guard.  A point
@@ -220,18 +217,18 @@ def trace(t_start: float, t_end: float, steps: int,
     for i, t in enumerate(ts):
         window = None
         if y_prev is not None and i % 10 != 0:
-            width = 10 * cfg.scan_step
+            width = 10 * SCAN_STEP
             window = (y_prev - width, y_prev + width)
         try:
             try:
-                pt = solve_y(t, cfg, policy, window)
+                pt = solve_y(t, cfg, scan_window=window)
             except BracketError:
                 if window is None:
                     raise
-                pt = solve_y(t, cfg, policy, None)
+                pt = solve_y(t, cfg)
         except W9Error as exc:  # recorded, not dropped
-            nan2 = np.full((2, 2), math.nan, dtype=complex)
-            nan3 = np.full((3, 3), math.nan, dtype=complex)
+            nan2 = np.full((2, 2), complex(math.nan, math.nan))
+            nan3 = np.full((3, 3), complex(math.nan, math.nan))
             points.append(GeodesicPoint(t, math.nan, nan2, nan3, math.nan,
                                         (f"error:{type(exc).__name__}",)))
             continue

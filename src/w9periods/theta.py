@@ -60,14 +60,16 @@ def all_characteristics(g: int):
     return [ThetaCharacteristic(m, n) for m in vecs for n in vecs]
 
 
+MAX_RADIUS = 60  # truncation_radius refuses larger radii with TruncationError
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     tail_tol: float = 1e-14
-    max_radius: int = 60
 
     def __post_init__(self):
-        if self.tail_tol <= 0 or self.max_radius < 1:
-            raise ParameterError("tail_tol and max_radius must be positive")
+        if self.tail_tol <= 0:
+            raise ParameterError("tail_tol must be positive")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -87,9 +89,9 @@ def truncation_radius(lam: float, g: int, policy: TruncationPolicy,
         if R_new <= R:
             return R
         R = R_new
-        if R > policy.max_radius:
+        if R > MAX_RADIUS:
             raise TruncationError(
-                f"required radius {R} exceeds max_radius {policy.max_radius} "
+                f"required radius {R} exceeds MAX_RADIUS = {MAX_RADIUS} "
                 f"(Im(Z) too small: lambda_min = {lam:.3e})"
             )
     return R
@@ -114,8 +116,7 @@ def _shell_sum(terms: np.ndarray, shell: np.ndarray, R: int) -> complex:
 
 
 def theta_char(ch: ThetaCharacteristic, z, Z,
-               policy: TruncationPolicy = DEFAULT_POLICY,
-               radius: int | None = None) -> complex:
+               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Theta with characteristic ch at argument z and period matrix Z."""
     Z = np.asarray(Z, dtype=complex)
     g = ch.g
@@ -125,23 +126,21 @@ def theta_char(ch: ThetaCharacteristic, z, Z,
     if z.shape != (g,):
         raise DimensionError(f"z has length {z.shape[0]}, expected {g}")
     lam = min_eig_im(Z)
-    if radius is None:
-        radius = truncation_radius(lam, g, policy, float(np.abs(z.imag).max()))
+    radius = truncation_radius(lam, g, policy, float(np.abs(z.imag).max()))
     k, shell = _cube(g, radius)
     v = k + np.asarray(ch.m, dtype=float) / 2.0
     w = z + np.asarray(ch.n, dtype=float) / 2.0
-    quad = np.einsum("ki,ij,kj->k", v, Z, v)
+    quad = ((v @ Z) * v).sum(axis=1)
     expo = 1j * math.pi * quad + 2j * math.pi * (v @ w)
     return _shell_sum(np.exp(expo), shell, radius)
 
 
-def riemann_theta(z, Z, policy: TruncationPolicy = DEFAULT_POLICY,
-                  radius: int | None = None) -> complex:
+def riemann_theta(z, Z, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """The plain Riemann theta function (zero characteristic)."""
     Z = np.asarray(Z, dtype=complex)
     g = Z.shape[0]
     zero = ThetaCharacteristic((0,) * g, (0,) * g)
-    return theta_char(zero, z, Z, policy, radius)
+    return theta_char(zero, z, Z, policy)
 
 
 def theta_null(ch: ThetaCharacteristic, Z,

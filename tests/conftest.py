@@ -64,3 +64,17 @@ def random_symplectic(rng, g, steps=6):
         if rng.integers(0, 2):
             M = M @ J
     return M
+
+
+def series_brute(t, y, radius):
+    """The geodesic series as the direct sum over the cube |k|_inf <= radius
+    of exp pi[(t/2 - y + i/2) s1 + (y - t + i) s2 + (3i/2 - t/2) s0], with
+    s0 = sum k, s1 = sum k^2 and s2 = sum_{l<m} k_l k_m; no library code."""
+    axis = np.arange(-radius, radius + 1)
+    k = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    s0 = k.sum(axis=1)
+    s1 = (k * k).sum(axis=1)
+    s2 = (s0 * s0 - s1) // 2
+    terms = np.exp(math.pi * ((0.5 * t - y + 0.5j) * s1 + (y - t + 1j) * s2
+                              + (1.5j - 0.5 * t) * s0))
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import Z1, ZHAT1
 import w9periods
-from w9periods import cli
+from w9periods import cli, geodesic
+from w9periods.errors import TruncationError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -128,6 +129,34 @@ def test_trace_json_rows(capsys):
     assert all(r["flags"] == "" for r in rows)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_trace_json_is_strict(capsys, monkeypatch):
+    def solve_y(*args, **kwargs):
+        raise TruncationError("radius")
+    monkeypatch.setattr(geodesic, "solve_y", solve_y)
+    code, out, _ = run(capsys, "trace", "--from", "1", "--to", "1",
+                       "--steps", "1")
+    assert code == 2
+    data = json.loads(out, parse_constant=_reject_constant)
+    (row,) = data["points"]
+    assert row["flags"] == "error:TruncationError"
+    assert row["t"] == 1.0
+    assert all(row[k] is None for k in row if k not in ("t", "flags"))
+    assert data["metadata"] == {"series_tol": 1e-12, "root_tol": 1e-10,
+                                "version": w9periods.__version__}
+
+
+def test_trace_beyond_former_limit(capsys):
+    code, out, _ = run(capsys, "trace", "--from", "5", "--to", "5",
+                       "--steps", "1")
+    assert code == 0
+    (row,) = json.loads(out, parse_constant=_reject_constant)["points"]
+    assert math.isfinite(row["y"]) and row["y"] > 10.0 / 3.0
+
+
 def test_verify_single(capsys):
     code, out, _ = run(capsys, "verify", "--s", "2-sqrt(3)")
     assert code == 0
@@ -136,6 +165,14 @@ def test_verify_single(capsys):
     point = [c for c in data["checks"] if c["check"] == "extracted_point"][0]
     assert abs(point["t"] - 1.0) < 1e-9
     assert abs(point["y"] - 4.0 / 3.0) < 1e-9
+
+
+def test_verify_metadata_lists_applied_settings(capsys):
+    code, out, _ = run(capsys, "verify", "--s", "2-sqrt(3)",
+                       "--series-tol", "1e-3", "--root-tol", "0.5")
+    assert code == 0
+    assert json.loads(out)["metadata"] == {"quad_tol": 1e-11,
+                                           "version": w9periods.__version__}
 
 
 def test_verify_grid(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import Z1, ZHAT1
+from conftest import Z1, ZHAT1, series_brute
 from w9periods import geodesic as geo
 from w9periods import w9
 from w9periods.errors import (ParameterError, ShapeMismatchError,
@@ -94,6 +94,17 @@ def test_main_series_matches_transformed_theta():
         assert abs(th - factor * geo.main_series(t, y)) < 1e-10
 
 
+def test_main_series_matches_brute_series():
+    # the k = 0 term is 1, so near the root (y = t + 0.35, values ~2e-3)
+    # rounding in either sum is measured against 1, not against the value
+    for t in (0.3, 1.0, 2.0, 5.0, 10.0):
+        for y in (2 * t / 3 + 0.05, 2 * t / 3 + 0.5, t + 0.35):
+            ref = series_brute(t, y, radius=24)
+            got = geo.main_series(t, y)
+            assert type(got) is complex
+            assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
 def test_solve_y_at_one():
     pt = geo.solve_y(1.0)
     assert abs(pt.y - 4.0 / 3.0) < 1e-8
@@ -108,6 +119,23 @@ def test_solve_y_at_two_cross_checked():
     assert 4.0 / 3.0 < pt.y < 10.0
     assert abs(theta_char(CH_111_101, np.zeros(3), pt.Zhat)) < 1e-8
     assert abs(theta_char(CH_111_000, np.zeros(3), geo.zhat_prime(2.0, pt.y))) < 1e-9
+
+
+def test_solve_y_beyond_former_limit():
+    # cold scans above t = 4.73, starting where lambda_min is 0.075
+    for t in (5.0, 10.0):
+        pt = geo.solve_y(t)
+        assert pt.flags == ()
+        assert pt.residual < 1e-10
+        assert abs(theta_char(CH_111_101, np.zeros(3), pt.Zhat)) < 1e-9
+        if t == 10.0:
+            assert abs(pt.y - t - 0.3496991526) < 1e-9
+
+
+def test_trace_beyond_former_limit():
+    pts = geo.trace(4.5, 6.0, 4)
+    assert len(pts) == 4
+    assert all(not p.flags and p.residual < 1e-10 for p in pts)
 
 
 def test_solve_y_validation():
