@@ -58,12 +58,17 @@ def _eval_node(node) -> complex:
     raise UsageError(f"unsupported expression {ast.unparse(node)!r}")
 
 
+def _parse(text: str):
+    """The Python expression tree of text, read with i as the imaginary unit."""
+    source = _IMAGINARY.sub(lambda m: (m.group(1) or "1") + "j", text).strip()
+    return ast.parse(source, mode="eval").body
+
+
 def parse_expr(text: str) -> complex:
     """Numeric expression over the complex numbers: literals, + - * / and
     unary signs, parentheses, sqrt(x), the imaginary unit i."""
-    source = _IMAGINARY.sub(lambda m: (m.group(1) or "1") + "j", text).strip()
     try:
-        return _eval_node(ast.parse(source, mode="eval").body)
+        return _eval_node(_parse(text))
     except (SyntaxError, ValueError, ArithmeticError) as exc:
         raise UsageError(f"cannot evaluate expression {text!r}: {exc}") from exc
 
@@ -98,25 +103,15 @@ def parse_matrix(text: str, prefer_g: int | None = None) -> np.ndarray:
                     return M
             return options[0]
         return decode_matrix(data)
-    rows, depth, start = [], 0, None
-    row_texts = []
-    inner = text[1:-1] if text.endswith("]") else None
-    if inner is None:
-        raise UsageError("matrix literal must be wrapped in [...]")
-    for idx, ch in enumerate(inner):
-        if ch == "[":
-            if depth == 0:
-                start = idx + 1
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                row_texts.append(inner[start:idx])
-        elif depth == 0 and not (ch.isspace() or ch == ","):
-            raise UsageError("malformed matrix literal")
-    for row in row_texts:
-        rows.append([parse_expr(cell) for cell in row.split(",") if cell.strip()])
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    try:
+        node = _parse(text)
+        if not (isinstance(node, ast.List) and node.elts
+                and all(isinstance(row, ast.List) for row in node.elts)):
+            raise UsageError(f"matrix literal {text!r} is not a list of rows")
+        rows = [[_eval_node(cell) for cell in row.elts] for row in node.elts]
+    except (SyntaxError, ValueError, ArithmeticError) as exc:
+        raise UsageError(f"malformed matrix literal {text!r}: {exc}") from exc
+    if not rows[0] or any(len(r) != len(rows[0]) for r in rows):
         raise UsageError("matrix rows must be nonempty and equally long")
     return np.array(rows, dtype=complex)
 

@@ -8,8 +8,9 @@ where y_t is pinned down by a scalar equation: the even theta constant
 theta[1,1,1; 0,0,0](0, Zhat'_t) of the transformed cover matrix must vanish.
 main_series(t, y) is that constant, computed by theta.theta_char, times the
 nonzero factor exp(pi(3t/8 - 9i/8)) that makes it real; its unique root
-y_t > 2t/3 is found by a sign scan plus bisection.  The bound y > 2t/3 is
-exactly positive definiteness of all the period matrices involved.
+y_t > 2t/3 is found by a sign scan plus regula falsi.  The bound y > 2t/3
+is exactly positive definiteness of all the period matrices involved; the
+family runs over all t > 0, and so does every function here.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from .theta import ThetaCharacteristic, theta_char
 SERIES_CHAR = ThetaCharacteristic((1, 1, 1), (0, 0, 0))
 SCAN_STEP = 0.05
 SCAN_MAX_FACTOR = 5.0  # the cold scan reaches y = SCAN_MAX_FACTOR * t
-MAX_BISECTIONS = 200
 
 
 def _require_domain(t: float, y: float) -> None:
-    if t < 1:
-        raise ParameterError(f"t = {t} must be >= 1")
-    if y <= 2.0 * t / 3.0:
+    if not t > 0:
+        raise ParameterError(f"t = {t} must be > 0")
+    if not y > 2.0 * t / 3.0:
         raise ParameterError(
             f"y = {y} <= 2t/3 = {2*t/3:g}: imaginary part not positive definite"
         )
@@ -54,10 +54,6 @@ def zhat_prime(t: float, y: float) -> np.ndarray:
     """The cover matrix in the twisted basis: diagonal 1/2 + i(y - t/2),
     all off-diagonal entries 1/2 - (1/2) i (y - t)."""
     _require_domain(t, y)
-    return _zhat_prime(t, y)
-
-
-def _zhat_prime(t: float, y: float) -> np.ndarray:
     d = 0.5 + 1j * (y - 0.5 * t)
     o = 0.5 - 0.5j * (y - t)
     return np.array([[d, o, o], [o, d, o], [o, o, d]])
@@ -84,13 +80,9 @@ def main_series(t: float, y: float) -> complex:
     + pi sum_{l<m} k_l k_m, an integer multiple of pi.  Convergence needs
     y > 2t/3 (Im Zhat'_t has eigenvalues t/2 and 3y/2 - t).  theta_char's
     tail bound sets the truncation; with z = 0 its radius depends only on
-    min(t/2, 3y/2 - t).  Defined for all t > 0, unlike zhat_prime.
+    min(t/2, 3y/2 - t).
     """
-    if t <= 0 or y <= 2.0 * t / 3.0:
-        raise ParameterError(
-            f"series diverges at (t, y) = ({t}, {y}): need t > 0 and y > 2t/3"
-        )
-    theta = theta_char(SERIES_CHAR, np.zeros(3), _zhat_prime(t, y))
+    theta = theta_char(SERIES_CHAR, np.zeros(3), zhat_prime(t, y))
     return cmath.exp(math.pi * (0.375 * t - 1.125j)) * theta
 
 
@@ -123,37 +115,36 @@ def _series_value(t: float, y: float) -> float:
     return main_series(t, y).real
 
 
-def _bisect(t: float, lo: float, hi: float, f_lo: float,
+def _refine(t: float, lo: float, hi: float, f_lo: float, f_hi: float,
             cfg: SolverConfig) -> float:
-    for _ in range(MAX_BISECTIONS):
+    """Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) on a sign
+    change bracket: every iterate stays inside it, and halving the value at
+    an end kept twice in a row makes convergence superlinear.  Stops at
+    |f| < series_tol, at bracket width <= root_tol, or after 100 steps."""
+    stale = 0
+    for _ in range(100):
+        y = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f = _series_value(t, y)
+        if abs(f) < cfg.series_tol:
+            break
+        if (f > 0) == (f_hi > 0):
+            hi, f_hi = y, f
+            if stale == -1:
+                f_lo *= 0.5
+            stale = -1
+        else:
+            lo, f_lo = y, f
+            if stale == 1:
+                f_hi *= 0.5
+            stale = 1
         if hi - lo <= cfg.root_tol:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = _series_value(t, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    # secant polish: the bracket is already tiny, a couple of steps push
-    # the residual to series level without leaving it
-    y0, y1 = lo, hi
-    f0, f1 = _series_value(t, y0), _series_value(t, y1)
-    for _ in range(8):
-        if f1 == f0:
-            break
-        y2 = y1 - f1 * (y1 - y0) / (f1 - f0)
-        if not lo - cfg.root_tol <= y2 <= hi + cfg.root_tol:
-            break
-        y0, f0, y1, f1 = y1, f1, y2, _series_value(t, y2)
-        if abs(f1) < cfg.series_tol:
-            break
-    return y1
+    return y
 
 
 def _scan_brackets(t: float, lo: float, hi: float):
-    """All sign-change brackets of the series on the scan grid [lo, hi]."""
+    """All sign-change brackets (lo, hi, f_lo, f_hi) of the series on the
+    scan grid [lo, hi]."""
     brackets = []
     y_prev = lo
     f_prev = _series_value(t, y_prev)
@@ -162,28 +153,26 @@ def _scan_brackets(t: float, lo: float, hi: float):
         y = min(lo + i * SCAN_STEP, hi)
         f = _series_value(t, y)
         if f == 0.0 or (f > 0) != (f_prev > 0):
-            brackets.append((y_prev, y, f_prev))
+            brackets.append((y_prev, y, f_prev, f))
         y_prev, f_prev = y, f
     return brackets
 
 
 def solve_y(t: float, cfg: SolverConfig = DEFAULT_SOLVER,
             scan_window: tuple[float, float] | None = None) -> GeodesicPoint:
-    """Root of main_series(t, .) in y > 2t/3 by sign scan plus bisection.
+    """Root of main_series(t, .) in y > 2t/3 by sign scan plus regula falsi.
 
-    The scan covers (2t/3 + SCAN_STEP, SCAN_MAX_FACTOR * t) unless an
-    explicit scan_window narrows it (used for warm starts).  Every sign
-    change found is audited: extra ones are flagged, never dropped.
-    Raises BracketError when the scan finds no sign change.
+    The scan covers scan_window, (2t/3, SCAN_MAX_FACTOR * t) by default
+    (trace narrows it for warm starts), clipped to start at 2t/3 + SCAN_STEP
+    and to span at least one step.  Every sign change found is audited:
+    extra ones are flagged, never dropped.  Raises ParameterError unless
+    t > 0, and BracketError when the scan finds no sign change, as for
+    t up to about 0.035, where the root lies below 2t/3 + SCAN_STEP.
     """
-    if t < 1:
-        raise ParameterError(f"t = {t} must be >= 1")
     floor = 2.0 * t / 3.0
-    if scan_window is None:
-        lo, hi = floor + SCAN_STEP, SCAN_MAX_FACTOR * t
-    else:
-        lo = max(scan_window[0], floor + SCAN_STEP)
-        hi = max(scan_window[1], lo + SCAN_STEP)
+    w0, w1 = scan_window or (floor, SCAN_MAX_FACTOR * t)
+    lo = max(w0, floor + SCAN_STEP)
+    hi = max(w1, lo + SCAN_STEP)
     brackets = _scan_brackets(t, lo, hi)
     if not brackets:
         raise BracketError(
@@ -192,7 +181,7 @@ def solve_y(t: float, cfg: SolverConfig = DEFAULT_SOLVER,
     flags = ()
     if len(brackets) > 1:
         flags = ("multiple_sign_changes",)
-    y = _bisect(t, *brackets[0], cfg)
+    y = _refine(t, *brackets[0], cfg)
     residual = abs(main_series(t, y))
     return GeodesicPoint(t, y, z_of_ty(t, y), zhat_of_ty(t, y), residual, flags)
 
@@ -206,15 +195,11 @@ def trace(t_start: float, t_end: float, steps: int,
     """
     if steps < 1:
         raise ParameterError("steps must be >= 1")
-    if t_start < 1 or t_end < t_start:
-        raise ParameterError("need 1 <= t_start <= t_end")
-    if steps == 1:
-        ts = [t_start]
-    else:
-        ts = list(np.linspace(t_start, t_end, steps))
+    if not 0 < t_start <= t_end:
+        raise ParameterError("need 0 < t_start <= t_end")
     points = []
     y_prev = None
-    for i, t in enumerate(ts):
+    for i, t in enumerate(np.linspace(t_start, t_end, steps)):
         window = None
         if y_prev is not None and i % 10 != 0:
             width = 10 * SCAN_STEP

@@ -22,21 +22,19 @@ from .errors import AccuracyError, ParameterError
 # Beyond this |t| the term bound h*2*pi*cosh(t)*exp(-(pi/2)*sinh(t)) is
 # below 1e-20 even against an inverse-sqrt singularity.
 _T_MAX = 4.3
+MIN_LEVEL = 5  # first level estimated: step 2^-5
+MAX_LEVEL = 12  # AccuracyError if levels still disagree here
 
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerance and level bounds for the adaptive tanh-sinh rule."""
+    """Tolerance of the adaptive tanh-sinh rule."""
 
     tol: float = 1e-11
-    min_level: int = 5
-    max_level: int = 12
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ParameterError("quadrature tolerance must be positive")
-        if not 0 <= self.min_level <= self.max_level:
-            raise ParameterError("need 0 <= min_level <= max_level")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -67,12 +65,12 @@ def integrate_levels(eval_terms, cfg: QuadConfig = DEFAULT_QUAD):
     (an ndarray, one entry per simultaneous integrand).  Refinement stops
     when two successive levels agree within cfg.tol in every component.
     """
-    prev = eval_terms(cfg.min_level)
-    for lev in range(cfg.min_level + 1, cfg.max_level + 1):
+    prev = eval_terms(MIN_LEVEL)
+    for lev in range(MIN_LEVEL + 1, MAX_LEVEL + 1):
         cur = eval_terms(lev)
         if np.abs(cur - prev).max() <= cfg.tol:
             return cur
         prev = cur
     raise AccuracyError(
-        f"tanh-sinh did not reach tol={cfg.tol:g} by level {cfg.max_level}"
+        f"tanh-sinh did not reach tol={cfg.tol:g} by level {MAX_LEVEL}"
     )

@@ -28,8 +28,7 @@ from .errors import (DegeneracyError, LayoutError, ParameterError,
                      ShapeMismatchError)
 from .periods import HyperellipticCurve
 from .siegel import SYM_TOL, is_riemann_matrix
-from .theta import (DEFAULT_POLICY, ThetaCharacteristic, TruncationPolicy,
-                    theta_char)
+from .theta import ThetaCharacteristic, theta_char
 
 SQRT3 = math.sqrt(3.0)
 
@@ -286,15 +285,14 @@ def w9_involution_conditions(s: float, tol: float = EXACT_TOL):
     return [(name, r) for name, r in res.items() if r < tol]
 
 
-def theta_membership_check(Zhat, policy: TruncationPolicy = DEFAULT_POLICY,
-                           shape_tol: float = EXACT_TOL) -> float:
+def theta_membership_check(Zhat, shape_tol: float = EXACT_TOL) -> float:
     """|theta[1,1,1; 1,0,1](0, Zhat)| after the cover-shape test.
 
     Vanishing of this single even theta constant characterizes the
     period matrices of family covers among shape-conforming matrices.
     """
     cover_shape_extract(Zhat, shape_tol)
-    return abs(theta_char(MEMBERSHIP_CHAR, np.zeros(3), Zhat, policy))
+    return abs(theta_char(MEMBERSHIP_CHAR, np.zeros(3), Zhat))
 
 
 def silhol_order4_period(lam: float) -> np.ndarray:

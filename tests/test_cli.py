@@ -44,6 +44,10 @@ def test_matrix_literal_parsing():
     assert np.abs(M - Z1).max() < 1e-15
     with pytest.raises(cli.UsageError):
         cli.parse_matrix("[[1,2],[3]]")
+    for bad in ("[[1,2],[3,4]", "[[1,2]],[[3,4]]"):
+        with pytest.raises(cli.UsageError):
+            cli.parse_matrix(bad)
+    assert cli.main(["theta", "--char", "1;1", "--matrix", "[[i],[2]"]) == 1
 
 
 def test_periods_lambda(capsys):
@@ -155,6 +159,14 @@ def test_trace_beyond_former_limit(capsys):
     assert code == 0
     (row,) = json.loads(out, parse_constant=_reject_constant)["points"]
     assert math.isfinite(row["y"]) and row["y"] > 10.0 / 3.0
+
+
+def test_trace_below_former_limit(capsys):
+    code, out, _ = run(capsys, "trace", "--from", "0.3", "--to", "1",
+                       "--steps", "8")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)["points"]
+    assert len(rows) == 8 and all(r["flags"] == "" for r in rows)
 
 
 def test_verify_single(capsys):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import Z1, ZHAT1, series_brute
+from conftest import S_SQUARE, Z1, ZHAT1, series_brute
 from w9periods import geodesic as geo
 from w9periods import w9
-from w9periods.errors import (ParameterError, ShapeMismatchError,
-                              TruncationError)
+from w9periods.errors import (BracketError, ParameterError,
+                              ShapeMismatchError, TruncationError)
 from w9periods.periods import LAYOUT_COVER, build_cycles, period_matrix
 from w9periods.siegel import base_change, is_riemann_matrix
 from w9periods.theta import ThetaCharacteristic, theta_char
@@ -39,7 +39,7 @@ def test_zhat_shape_and_domain():
     with pytest.raises(ParameterError):
         geo.zhat_of_ty(2.0, 1.2)  # 1.2 < 2t/3 = 4/3
     with pytest.raises(ParameterError):
-        geo.zhat_of_ty(0.5, 2.0)
+        geo.zhat_of_ty(0.0, 2.0)
 
 
 def test_domain_boundary():
@@ -138,9 +138,48 @@ def test_trace_beyond_former_limit():
     assert all(not p.flags and p.residual < 1e-10 for p in pts)
 
 
+def test_solve_y_matches_quadrature_over_family():
+    # s in (0, sqrt(3)/3) maps onto t in (0, inf); here t runs from 0.28
+    # to 3.49, through t = 1 at the 3-square-tiled surface
+    for s in (0.005, 0.01, 0.05, 0.1, 0.2, S_SQUARE, 0.35, 0.45, 0.5, 0.57):
+        cover = w9.double_cover(w9.curve_Qs(s))
+        Zhat = period_matrix(cover, build_cycles(cover, LAYOUT_COVER))
+        t, y = geo.extract_ty_from_cover(Zhat, shape_tol=1e-6)
+        pt = geo.solve_y(t)
+        assert pt.flags == ()
+        assert abs(pt.y - y) < 1e-9
+
+
+def test_trace_below_former_limit():
+    pts = geo.trace(0.3, 1.0, 8)
+    assert len(pts) == 8
+    assert all(not p.flags and p.residual < 1e-10 for p in pts)
+    assert abs(pts[-1].y - 4.0 / 3.0) < 1e-10
+
+
+def test_solve_y_root_below_scan_start(monkeypatch):
+    # near t = 0 the root lies below the scan's first point 2t/3 + SCAN_STEP
+    with pytest.raises(BracketError):
+        geo.solve_y(0.02)
+    # below t = 0.0115 the default window end 5t lies below that point too,
+    # and the scan must still not reach below it (the series' root at
+    # t = 0.01 is y = 0.0508, under 2t/3 + SCAN_STEP = 0.0567)
+    monkeypatch.setattr(geo, "main_series", lambda t, y: complex(y - 0.0508))
+    with pytest.raises(BracketError):
+        geo.solve_y(0.01)
+
+
+def test_solve_y_flags_extra_sign_changes(monkeypatch):
+    monkeypatch.setattr(geo, "main_series",
+                        lambda t, y: complex((y - 1) * (y - 2) * (y - 3)))
+    pt = geo.solve_y(1.0)
+    assert pt.flags == ("multiple_sign_changes",)
+    assert abs(pt.y - 1.0) < 1e-10
+
+
 def test_solve_y_validation():
     with pytest.raises(ParameterError):
-        geo.solve_y(0.5)
+        geo.solve_y(0.0)
     with pytest.raises(ParameterError):
         geo.SolverConfig(root_tol=-1)
 

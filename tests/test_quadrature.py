@@ -11,8 +11,6 @@ from w9periods.quadrature import (DEFAULT_QUAD, QuadConfig, integrate_levels,
 def test_config_validation():
     with pytest.raises(ParameterError):
         QuadConfig(tol=0)
-    with pytest.raises(ParameterError):
-        QuadConfig(min_level=7, max_level=5)
 
 
 def test_nodes_structure():
@@ -65,4 +63,4 @@ def test_nonconvergent_raises():
         return np.array([rng.normal()])
 
     with pytest.raises(AccuracyError):
-        integrate_levels(eval_terms, QuadConfig(tol=1e-13, max_level=7))
+        integrate_levels(eval_terms, QuadConfig(tol=1e-13))
