@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import (AccuracyError, DegeneracyError, LayoutError,
                      ParameterError, PathError)
-from .quadrature import DEFAULT_QUAD, QuadConfig, integrate_levels, tanh_sinh_nodes
+from .quadrature import (DEFAULT_QUAD, MIN_LEVEL, QuadConfig, integrate_levels,
+                         tanh_sinh_nodes)
 from .siegel import is_riemann_matrix, lu_solve
 
 MIN_ROOT_SEPARATION = 1e-12
@@ -51,24 +52,22 @@ class HyperellipticCurve:
         pts = self.branch_points
         if len(pts) < 3:
             raise ParameterError("need at least 3 branch points")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) <= MIN_ROOT_SEPARATION:
-                    raise DegeneracyError(
-                        f"branch points {pts[i]} and {pts[j]} coincide"
-                    )
+        sep, i, j = min((abs(pts[i] - pts[j]), i, j)
+                        for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        if sep <= MIN_ROOT_SEPARATION:
+            raise DegeneracyError(f"branch points {pts[i]} and {pts[j]} coincide")
+        # computed once per curve: every arc's clearance check reads it
+        object.__setattr__(self, "_min_separation", sep)
 
     @property
     def genus(self) -> int:
         return (len(self.branch_points) - 1) // 2
 
     def min_separation(self) -> float:
-        pts = self.branch_points
-        return min(abs(pts[i] - pts[j])
-                   for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        return self._min_separation
 
     def clearance(self) -> float:
-        return CLEARANCE_FACTOR * self.min_separation()
+        return CLEARANCE_FACTOR * self._min_separation
 
 
 @dataclass(frozen=True)
@@ -158,13 +157,12 @@ def _principal_anchor(roots, x0: complex) -> complex:
     return val
 
 
-def _sqrt_p_on_nodes(curve: HyperellipticCurve, path: ArcPath, level: int):
-    """Stable node positions and the tracked sqrt(P) along one arc."""
-    u, one_minus, one_plus, w = tanh_sinh_nodes(level)
+def _sqrt_p_on_nodes(curve: HyperellipticCurve, path: ArcPath,
+                     u, one_minus, one_plus):
+    """Stable node positions x and the principal (untracked) sqrt(P) there."""
     z0, z1 = path.start, path.end
     half = 0.5 * (z1 - z0)
-    mid = 0.5 * (z1 + z0)
-    x = mid + half * u
+    x = 0.5 * (z1 + z0) + half * u
     P = np.ones(len(u), dtype=complex)
     for r in curve.branch_points:
         if abs(r - z0) <= MIN_ROOT_SEPARATION:
@@ -173,23 +171,67 @@ def _sqrt_p_on_nodes(curve: HyperellipticCurve, path: ArcPath, level: int):
             P *= -half * one_minus
         else:
             P *= x - r
-    sq = np.sqrt(P)
-    mid_index = len(u) // 2  # u[mid_index] = 0 exactly
-    anchor = _principal_anchor(curve.branch_points, mid)
-    signs = _track_signs(sq, mid_index, anchor)
-    return x, signs * sq, w, half
+    return x, np.sqrt(P)
+
+
+def _moments(x: np.ndarray, f: np.ndarray, kmax: int) -> np.ndarray:
+    """Sums of f * x^(k-1) for k = 1..kmax, powers by running product."""
+    sums = [f.sum()]
+    for _ in range(kmax - 1):
+        f = f * x
+        sums.append(f.sum())
+    return np.array(sums)
 
 
 def arc_integrals(curve: HyperellipticCurve, path: ArcPath, ks,
                   quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """Integrals of x^(k-1) dx / sqrt(P) along the arc, one entry per k."""
-    _check_clearance(curve, path)
-    ks = list(ks)
+    """Integrals of x^(k-1) dx / sqrt(P) along the arc, one entry per k.
 
-    def estimate(lev: int) -> np.ndarray:
-        x, sq, w, half = _sqrt_p_on_nodes(curve, path, lev)
-        base = w / sq
-        return np.array([half * np.sum(base * x ** (k - 1)) for k in ks])
+    The tanh-sinh levels nest (see quadrature), so sqrt(P) is evaluated
+    once per node: the first estimate samples level MIN_LEVEL + 1 and
+    reads level MIN_LEVEL off its even nodes; each deeper level samples
+    only its new odd nodes, gives each the sign continuous with its left
+    neighbour, and adds their sum to half the previous one.
+    """
+    ks = list(ks)
+    if not ks:
+        raise ParameterError("no k given")
+    for k in ks:
+        if k not in range(1, curve.genus + 1):
+            raise ParameterError(f"k={k} outside 1..{curve.genus}")
+    _check_clearance(curve, path)
+    pick = np.array(ks, dtype=int) - 1
+    kmax = int(pick.max()) + 1
+    half = 0.5 * (path.end - path.start)
+    mid = 0.5 * (path.end + path.start)
+    # sq: tracked sqrt(P) at every node of the deepest level sampled;
+    # acc: moment sums of the level last returned, without the factor half;
+    # odd: the odd-node sums of level MIN_LEVEL + 1, sampled by the first call
+    sq = acc = odd = None
+
+    def estimate(level: int) -> np.ndarray:
+        nonlocal sq, acc, odd
+        if level == MIN_LEVEL:
+            u, one_minus, one_plus, w = tanh_sinh_nodes(level + 1)
+            x, sq = _sqrt_p_on_nodes(curve, path, u, one_minus, one_plus)
+            anchor = _principal_anchor(curve.branch_points, mid)
+            sq = sq * _track_signs(sq, len(u) // 2, anchor)  # u[len // 2] = 0
+            f = w / sq
+            acc = 2.0 * _moments(x[::2], f[::2], kmax)
+            odd = _moments(x[1::2], f[1::2], kmax)
+        elif level == MIN_LEVEL + 1:
+            acc = 0.5 * acc + odd
+        else:
+            u, one_minus, one_plus, w = tanh_sinh_nodes(level)
+            x, new = _sqrt_p_on_nodes(curve, path, u[1::2], one_minus[1::2],
+                                      one_plus[1::2])
+            new = np.where((new / sq[:-1]).real < 0, -new, new)
+            merged = np.empty(2 * len(sq) - 1, dtype=complex)
+            merged[::2] = sq
+            merged[1::2] = new
+            sq = merged
+            acc = 0.5 * acc + _moments(x, w[1::2] / new, kmax)
+        return half * acc[pick]
 
     return integrate_levels(estimate, quad)
 
@@ -197,8 +239,6 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath, ks,
 def integrate_arc(curve: HyperellipticCurve, path: ArcPath, k: int,
                   quad: QuadConfig = DEFAULT_QUAD) -> complex:
     """Single abelian arc integral of x^(k-1) dx / sqrt(P)."""
-    if k < 1 or k > curve.genus:
-        raise ParameterError(f"k={k} outside 1..{curve.genus}")
     return complex(arc_integrals(curve, path, [k], quad)[0])
 
 

@@ -7,6 +7,11 @@ x^(k-1) dx / sqrt(P(x)) need: every arc joins two branch points of P.
 Node positions near the endpoints are represented through the stable
 quantities 1 -+ u = 2 / (exp(+-2v) + 1) with v = (pi/2) sinh(t), so that
 x - endpoint keeps full relative accuracy however close the node gets.
+
+The levels nest: |j*h| <= 4.3125 = 138/32 is a whole number of steps at
+every level from 5 on, so the nodes of level L are exactly the even nodes
+of level L+1 and w_L == 2 * w_{L+1}[::2] bit for bit.  A caller can then
+evaluate each new level at its odd nodes only and halve the previous sum.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import numpy as np
 from .errors import AccuracyError, ParameterError
 
 # Beyond this |t| the term bound h*2*pi*cosh(t)*exp(-(pi/2)*sinh(t)) is
-# below 1e-20 even against an inverse-sqrt singularity.
-_T_MAX = 4.3
+# below 1e-20 even against an inverse-sqrt singularity; = 138/32 (nesting).
+_T_MAX = 4.3125
 MIN_LEVEL = 5  # first level estimated: step 2^-5
 MAX_LEVEL = 12  # AccuracyError if levels still disagree here
 
@@ -45,7 +50,9 @@ def tanh_sinh_nodes(level: int):
     """Nodes and weights at step h = 2^-level, sorted by abscissa.
 
     Returns (u, one_minus_u, one_plus_u, w): u = tanh((pi/2) sinh(j*h)),
-    w = h * (pi/2) cosh(j*h) / cosh((pi/2) sinh(j*h))^2, for |j*h| <= 4.3.
+    w = h * (pi/2) cosh(j*h) / cosh((pi/2) sinh(j*h))^2, for |j*h| <= 4.3125.
+    For level >= 5 these are the [::2] slices of level + 1, with
+    w == 2 * w_{level+1}[::2] exactly.
     """
     h = 0.5**level
     j = np.arange(-math.ceil(_T_MAX / h), math.ceil(_T_MAX / h) + 1)

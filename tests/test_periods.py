@@ -1,16 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import S_SQUARE, Z1, ZHAT1, agm
+from w9periods import periods, w9
 from w9periods.errors import (DegeneracyError, LayoutError, ParameterError,
                               PathError)
 from w9periods.periods import (LAYOUT_COVER, LAYOUT_ELLIPTIC, LAYOUT_GENUS2,
-                               ArcPath, HyperellipticCurve, _principal_anchor,
-                               _segment_distance, _track_signs, arc_integrals,
-                               build_cycles, integrate_arc, period_matrices,
-                               period_matrix)
+                               MIN_ROOT_SEPARATION, ArcPath, HyperellipticCurve,
+                               _principal_anchor, _segment_distance, _track_signs,
+                               arc_integrals, build_cycles, integrate_arc,
+                               period_matrices, period_matrix)
+from w9periods.quadrature import MAX_LEVEL, MIN_LEVEL, tanh_sinh_nodes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -74,6 +77,137 @@ def test_clearance_guard():
     curve = HyperellipticCurve((-1.0, 0.0, 0.5, 1.0, 2.0))
     with pytest.raises(PathError):
         integrate_arc(curve, ArcPath(0.0, 1.0), 1)
+
+
+def test_clearance_from_stored_separation():
+    # the minimum separation is computed once, when the curve is built
+    curve = HyperellipticCurve((-1.0, 0.0, 0.5, 1.0, 2.0))
+    assert curve.min_separation() == 0.5
+    assert curve.clearance() == 0.5e-3
+    with pytest.raises(PathError, match="passes within 0.0005 of branch point 0.5"):
+        arc_integrals(curve, ArcPath(0.0, 1.0), [1, 2])
+    pts = cover_curve().branch_points
+    assert cover_curve().min_separation() == min(
+        abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1:])
+    with pytest.raises(DegeneracyError, match="branch points 1.0 and 1.0"):
+        HyperellipticCurve((0.0, 1.0, 3.0, 1.0 + 1e-13))
+
+
+def test_k_outside_genus_raises():
+    # k indexes the holomorphic differentials x^(k-1) dx / y, k = 1..genus
+    curve = w9.curve_Qs(0.3)
+    path = build_cycles(curve, LAYOUT_GENUS2).arcs[0]
+    for ks in ([0], [3], [1, 3], [1.5], []):
+        with pytest.raises(ParameterError):
+            arc_integrals(curve, path, ks)
+    for k in (0, 3):
+        with pytest.raises(ParameterError):
+            integrate_arc(curve, path, k)
+    both = arc_integrals(curve, path, [2, 1])
+    assert np.array_equal(both, arc_integrals(curve, path, [1, 2])[::-1])
+
+
+def _full_level_estimate(curve, path, ks, level):
+    """Tanh-sinh estimate at one level with sqrt(P) evaluated afresh at
+    every node of the level and tracked from the midpoint anchor, and
+    x^(k-1) by power: the per-level rule the nested refinement replaces."""
+    u, one_minus, one_plus, w = tanh_sinh_nodes(level)
+    z0, z1 = path.start, path.end
+    half = 0.5 * (z1 - z0)
+    mid = 0.5 * (z1 + z0)
+    x = mid + half * u
+    P = np.ones(len(u), dtype=complex)
+    for r in curve.branch_points:
+        if abs(r - z0) <= MIN_ROOT_SEPARATION:
+            P *= half * one_plus
+        elif abs(r - z1) <= MIN_ROOT_SEPARATION:
+            P *= -half * one_minus
+        else:
+            P *= x - r
+    sq = np.sqrt(P)
+    sq = _track_signs(sq, len(u) // 2, _principal_anchor(curve.branch_points, mid)) * sq
+    base = w / sq
+    return np.array([half * np.sum(base * x ** (k - 1)) for k in ks])
+
+
+def _nested_levels(monkeypatch, curve, path, ks):
+    """The nested estimates of arc_integrals at every level MIN..MAX_LEVEL."""
+    seen = []
+
+    def every_level(eval_terms, cfg):
+        for level in range(MIN_LEVEL, MAX_LEVEL + 1):
+            seen.append(eval_terms(level))
+        return seen[-1]
+
+    monkeypatch.setattr(periods, "integrate_levels", every_level)
+    arc_integrals(curve, path, ks)
+    return seen
+
+
+@pytest.mark.parametrize("s", [0.005, 0.05, S_SQUARE, 0.5, 0.57])
+def test_nested_levels_match_full_evaluation(monkeypatch, s):
+    base = w9.curve_Qs(s)
+    for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
+        plan = build_cycles(curve, layout)
+        ks = list(range(1, curve.genus + 1))
+        for i in plan.used_arcs():
+            nested = _nested_levels(monkeypatch, curve, plan.arcs[i], ks)
+            for level, got in zip(range(MIN_LEVEL, MAX_LEVEL + 1), nested):
+                full = _full_level_estimate(curve, plan.arcs[i], ks, level)
+                assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max(), \
+                    (s, layout, i, level)
+
+
+def test_nested_levels_evaluate_each_node_once(monkeypatch):
+    # an arc that stops at level L samples sqrt(P) at the N_L nodes of
+    # level L in total, not at sum_{l <= L} N_l
+    sampled = []
+    levels = []
+    sqrt_p = periods._sqrt_p_on_nodes
+    drive = periods.integrate_levels
+
+    def counting_sqrt_p(curve, path, u, one_minus, one_plus):
+        sampled.append(len(u))
+        return sqrt_p(curve, path, u, one_minus, one_plus)
+
+    def counting_drive(eval_terms, cfg):
+        return drive(lambda level: levels.append(level) or eval_terms(level), cfg)
+
+    monkeypatch.setattr(periods, "_sqrt_p_on_nodes", counting_sqrt_p)
+    monkeypatch.setattr(periods, "integrate_levels", counting_drive)
+    stops = set()
+    base = w9.curve_Qs(0.05)  # the cover's arc from i to -i stops at level 8
+    for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
+        plan = build_cycles(curve, layout)
+        for i in plan.used_arcs():
+            sampled.clear()
+            levels.clear()
+            arc_integrals(curve, plan.arcs[i], range(1, curve.genus + 1))
+            stop = levels[-1]
+            stops.add(stop)
+            assert sum(sampled) == len(tanh_sinh_nodes(stop)[0]), (layout, i, stop)
+    assert 6 in stops and max(stops) > 7
+    assert len(tanh_sinh_nodes(6)[0]) == 553
+
+
+@pytest.mark.parametrize("s", [0.005, 0.57])
+def test_genus2_arcs_match_mpmath_at_cusps(s):
+    # the real arcs next to the family's cusps, where branch points crowd,
+    # against a 30-digit mpmath tanh-sinh; the arc integrals are real or
+    # imaginary, of either sign
+    curve = w9.curve_Qs(s)
+    plan = build_cycles(curve, LAYOUT_GENUS2)
+    with mpmath.workdps(30):
+        roots = [mpmath.mpf(r.real) for r in curve.branch_points]
+        for i in plan.used_arcs():
+            path = plan.arcs[i]
+            got = arc_integrals(curve, path, [1, 2])
+            for k in (1, 2):
+                ref = float(mpmath.quad(
+                    lambda x: x ** (k - 1) / mpmath.sqrt(abs(mpmath.fprod(x - r for r in roots))),
+                    [mpmath.mpf(path.start.real), mpmath.mpf(path.end.real)]))
+                err = min(abs(got[k - 1] - e * ref) for e in (1, -1, 1j, -1j))
+                assert err <= 1e-10 * abs(ref), (s, i, k)
 
 
 def test_build_cycles_layouts():

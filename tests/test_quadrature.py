@@ -30,6 +30,20 @@ def test_nodes_structure():
     assert np.all(w > 0)
 
 
+def test_levels_nest():
+    # the nodes of level L are the even-indexed nodes of level L+1 and the
+    # weights halve with the step, bit for bit: the nested refinement in
+    # periods.arc_integrals evaluates only the odd nodes of each new level
+    for level in range(5, 12):
+        u, one_minus, one_plus, w = tanh_sinh_nodes(level)
+        u1, one_minus1, one_plus1, w1 = tanh_sinh_nodes(level + 1)
+        assert len(u1) == 2 * len(u) - 1
+        assert np.array_equal(u, u1[::2])
+        assert np.array_equal(one_minus, one_minus1[::2])
+        assert np.array_equal(one_plus, one_plus1[::2])
+        assert np.array_equal(w, 2 * w1[::2])
+
+
 def test_weights_integrate_constant():
     # integral of 1 over [-1, 1]
     _, _, _, w = tanh_sinh_nodes(7)
