@@ -7,10 +7,10 @@ Stretching the surface by diag(1, t) moves its period matrix along
 where y_t is pinned down by a scalar equation: the even theta constant
 theta[1,1,1; 0,0,0](0, Zhat'_t) of the transformed cover matrix must vanish.
 main_series(t, y) is that constant, computed by theta.theta_char, times the
-nonzero factor exp(pi(3t/8 - 9i/8)) that makes it real; its unique root
-y_t > 2t/3 is found by a sign scan plus regula falsi.  The bound y > 2t/3
-is exactly positive definiteness of all the period matrices involved; the
-family runs over all t > 0, and so does every function here.
+nonzero factor exp(pi(3t/8 - 9i/8)) that makes it real.  solve_y finds its
+unique root y_t > 2t/3 in a few evaluations from two facts: y_t - t tends
+to ln3/pi, and the surfaces at t and 1/t are isomorphic.  The bound
+y > 2t/3 is exactly positive definiteness of all the period matrices.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ from .errors import BracketError, ParameterError, W9Error
 from .theta import ThetaCharacteristic, theta_char
 
 SERIES_CHAR = ThetaCharacteristic((1, 1, 1), (0, 0, 0))
+ASYMPTOTE = math.log(3.0) / math.pi  # y_t - t -> ln 3 / pi as t -> inf
 SCAN_STEP = 0.05
-SCAN_MAX_FACTOR = 5.0  # the cold scan reaches y = SCAN_MAX_FACTOR * t
+SCAN_MAX_FACTOR = 5.0  # the fallback scan reaches y = SCAN_MAX_FACTOR * t
+T_MAX = 600.0  # exp(3 pi t / 8) in main_series overflows at t ~ 602.6
 
 
 def _require_domain(t: float, y: float) -> None:
@@ -80,20 +82,21 @@ def main_series(t: float, y: float) -> complex:
     + pi sum_{l<m} k_l k_m, an integer multiple of pi.  Convergence needs
     y > 2t/3 (Im Zhat'_t has eigenvalues t/2 and 3y/2 - t).  theta_char's
     tail bound sets the truncation; with z = 0 its radius depends only on
-    min(t/2, 3y/2 - t).
+    min(t/2, 3y/2 - t).  Raises ParameterError for t > T_MAX.
     """
+    if t > T_MAX:
+        raise ParameterError(f"t = {t} > T_MAX = {T_MAX:g}: the series overflows")
     theta = theta_char(SERIES_CHAR, np.zeros(3), zhat_prime(t, y))
     return cmath.exp(math.pi * (0.375 * t - 1.125j)) * theta
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    series_tol: float = 1e-12
     root_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.series_tol <= 0 or self.root_tol <= 0:
-            raise ParameterError("series_tol and root_tol must be positive")
+        if not self.root_tol > 0:
+            raise ParameterError("root_tol must be positive")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -101,7 +104,8 @@ DEFAULT_SOLVER = SolverConfig()
 
 @dataclass(frozen=True)
 class GeodesicPoint:
-    """One solved point: y is the root of main_series(t, .) above 2t/3."""
+    """One solved point: y is the root of main_series(t, .) above 2t/3;
+    evaluations counts the series evaluations it cost, residual included."""
 
     t: float
     y: float
@@ -109,116 +113,112 @@ class GeodesicPoint:
     Zhat: np.ndarray
     residual: float
     flags: tuple[str, ...] = ()
+    evaluations: int = 0
 
 
-def _series_value(t: float, y: float) -> float:
-    return main_series(t, y).real
+def _secant(f, t: float, tol: float) -> float | None:
+    """Secant from t + ln3/pi and that minus the gap 0.377 exp(-pi t), floored
+    at 1e-7 to keep the seeds apart at large t.  None if an iterate leaves
+    (2t/3, inf) or 10 steps do not bring the step in y down to tol."""
+    y0 = t + ASYMPTOTE
+    y1 = y0 - max(0.377 * math.exp(-math.pi * t), 1e-7)
+    f0 = f(y0)
+    for _ in range(10):
+        f1 = f(y1)
+        if f1 == f0:
+            return None
+        y0, y1, f0 = y1, y1 - f1 * (y1 - y0) / (f1 - f0), f1
+        if not y1 > 2.0 * t / 3.0:
+            return None
+        if abs(y1 - y0) <= tol:
+            return y1
+    return None
 
 
-def _refine(t: float, lo: float, hi: float, f_lo: float, f_hi: float,
-            cfg: SolverConfig) -> float:
+def _refine(f, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
     """Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) on a sign
-    change bracket: every iterate stays inside it, and halving the value at
-    an end kept twice in a row makes convergence superlinear.  Stops at
-    |f| < series_tol, at bracket width <= root_tol, or after 100 steps."""
-    stale = 0
+    change bracket [a, b]: every iterate stays inside it, and halving the
+    kept end's value when two iterates in a row fall on one side makes it
+    superlinear.  Stops at an exact zero, width <= tol, or 100 steps."""
     for _ in range(100):
-        y = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        f = _series_value(t, y)
-        if abs(f) < cfg.series_tol:
-            break
-        if (f > 0) == (f_hi > 0):
-            hi, f_hi = y, f
-            if stale == -1:
-                f_lo *= 0.5
-            stale = -1
+        y = b - f_b * (b - a) / (f_b - f_a)
+        f_y = f(y)
+        if f_y == 0.0:
+            return y
+        if (f_y > 0) == (f_b > 0):
+            f_a *= 0.5
         else:
-            lo, f_lo = y, f
-            if stale == 1:
-                f_hi *= 0.5
-            stale = 1
-        if hi - lo <= cfg.root_tol:
+            a, f_a = b, f_b
+        b, f_b = y, f_y
+        if abs(b - a) <= tol:
             break
-    return y
+    return b
 
 
-def _scan_brackets(t: float, lo: float, hi: float):
-    """All sign-change brackets (lo, hi, f_lo, f_hi) of the series on the
-    scan grid [lo, hi]."""
-    brackets = []
-    y_prev = lo
-    f_prev = _series_value(t, y_prev)
-    n = max(1, math.ceil((hi - lo) / SCAN_STEP))
-    for i in range(1, n + 1):
-        y = min(lo + i * SCAN_STEP, hi)
-        f = _series_value(t, y)
-        if f == 0.0 or (f > 0) != (f_prev > 0):
-            brackets.append((y_prev, y, f_prev, f))
-        y_prev, f_prev = y, f
-    return brackets
+def _scan_brackets(f, t: float):
+    """All sign-change brackets (lo, hi, f_lo, f_hi) of f on the grid from
+    2t/3 + SCAN_STEP in steps of SCAN_STEP up to SCAN_MAX_FACTOR t."""
+    hi = SCAN_MAX_FACTOR * t
+    ys = np.append(np.arange(2.0 * t / 3.0 + SCAN_STEP, hi, SCAN_STEP), hi)
+    fs = [f(y) for y in ys]
+    return [(ys[i - 1], ys[i], fs[i - 1], fs[i]) for i in range(1, len(ys))
+            if fs[i] == 0.0 or (fs[i] > 0) != (fs[i - 1] > 0)]
 
 
-def solve_y(t: float, cfg: SolverConfig = DEFAULT_SOLVER,
-            scan_window: tuple[float, float] | None = None) -> GeodesicPoint:
-    """Root of main_series(t, .) in y > 2t/3 by sign scan plus regula falsi.
+def solve_y(t: float, cfg: SolverConfig = DEFAULT_SOLVER) -> GeodesicPoint:
+    """Root y_t of main_series(t, .) in y > 2t/3, for t in [1/T_MAX, T_MAX].
 
-    The scan covers scan_window, (2t/3, SCAN_MAX_FACTOR * t) by default
-    (trace narrows it for warm starts), clipped to start at 2t/3 + SCAN_STEP
-    and to span at least one step.  Every sign change found is audited:
-    extra ones are flagged, never dropped.  Raises ParameterError unless
-    t > 0, and BracketError when the scan finds no sign change, as for
-    t up to about 0.035, where the root lies below 2t/3 + SCAN_STEP.
+    For t >= 1 a secant runs from y_t's asymptote until its step in y is
+    at most root_tol.  The surface at t < 1 is the one at 1/t, so y_t comes
+    from (3y_t/2 - t)(3y_{1/t}/2 - 1/t) = 1, and residual is that of the
+    solve at 1/t: at small t the series is flat in y and costly.  If the
+    secant fails, the sign scan with regula falsi takes over and flags
+    every extra sign change, or raises BracketError if it finds none.
     """
-    floor = 2.0 * t / 3.0
-    w0, w1 = scan_window or (floor, SCAN_MAX_FACTOR * t)
-    lo = max(w0, floor + SCAN_STEP)
-    hi = max(w1, lo + SCAN_STEP)
-    brackets = _scan_brackets(t, lo, hi)
-    if not brackets:
-        raise BracketError(
-            f"no sign change of the series for t = {t} in y in ({lo:g}, {hi:g})"
-        )
+    if not 1.0 / T_MAX <= t <= T_MAX:
+        raise ParameterError(f"t = {t} outside [1/T_MAX, T_MAX] = "
+                             f"[{1 / T_MAX:g}, {T_MAX:g}]")
+    t_up = max(t, 1.0 / t)
+    evaluations = 1  # the residual's
+
+    def f(y):
+        nonlocal evaluations
+        evaluations += 1
+        return main_series(t_up, y).real
+
     flags = ()
-    if len(brackets) > 1:
-        flags = ("multiple_sign_changes",)
-    y = _refine(t, *brackets[0], cfg)
-    residual = abs(main_series(t, y))
-    return GeodesicPoint(t, y, z_of_ty(t, y), zhat_of_ty(t, y), residual, flags)
+    y = _secant(f, t_up, cfg.root_tol)
+    if y is None:
+        brackets = _scan_brackets(f, t_up)
+        if not brackets:
+            raise BracketError(f"no sign change of the series for t = {t_up}")
+        if len(brackets) > 1:
+            flags = ("multiple_sign_changes",)
+        y = _refine(f, *brackets[0], cfg.root_tol)
+    residual = abs(main_series(t_up, y))
+    if t < 1.0:
+        y = 2.0 / 3.0 * (t + 1.0 / (1.5 * y - t_up))
+    return GeodesicPoint(t, y, z_of_ty(t, y), zhat_of_ty(t, y), residual,
+                         flags, evaluations)
 
 
 def trace(t_start: float, t_end: float, steps: int,
           cfg: SolverConfig = DEFAULT_SOLVER) -> list[GeodesicPoint]:
-    """solve_y over a uniform t grid, warm-starting from the previous root.
-
-    Every 10th point runs the full cold scan as a drift guard.  A point
-    that fails is recorded with an error flag and NaN values, not dropped.
-    """
+    """One solve_y per point of a uniform t grid.  A point that fails is
+    recorded with an error flag and NaN values, not dropped."""
     if steps < 1:
         raise ParameterError("steps must be >= 1")
     if not 0 < t_start <= t_end:
         raise ParameterError("need 0 < t_start <= t_end")
     points = []
-    y_prev = None
-    for i, t in enumerate(np.linspace(t_start, t_end, steps)):
-        window = None
-        if y_prev is not None and i % 10 != 0:
-            width = 10 * SCAN_STEP
-            window = (y_prev - width, y_prev + width)
+    for t in np.linspace(t_start, t_end, steps):
         try:
-            try:
-                pt = solve_y(t, cfg, scan_window=window)
-            except BracketError:
-                if window is None:
-                    raise
-                pt = solve_y(t, cfg)
+            points.append(solve_y(t, cfg))
         except W9Error as exc:  # recorded, not dropped
             nan2 = np.full((2, 2), complex(math.nan, math.nan))
             nan3 = np.full((3, 3), complex(math.nan, math.nan))
             points.append(GeodesicPoint(t, math.nan, nan2, nan3, math.nan,
                                         (f"error:{type(exc).__name__}",)))
-            continue
-        points.append(pt)
-        y_prev = pt.y
     return points
 
 

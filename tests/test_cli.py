@@ -76,6 +76,9 @@ def test_periods_usage_errors(capsys):
     assert code == 1 and "3 roots" in err
     code, _, _ = run(capsys, "periods", "--s", "0.2", "--membership-tol", "1e-8")
     assert code == 1
+    code, _, _ = run(capsys, "trace", "--from", "1", "--to", "1", "--steps", "1",
+                     "--series-tol", "1e-3")
+    assert code == 1
 
 
 def test_periods_numerical_error_exit_code(capsys):
@@ -149,7 +152,7 @@ def test_trace_json_is_strict(capsys, monkeypatch):
     assert row["flags"] == "error:TruncationError"
     assert row["t"] == 1.0
     assert all(row[k] is None for k in row if k not in ("t", "flags"))
-    assert data["metadata"] == {"series_tol": 1e-12, "root_tol": 1e-10,
+    assert data["metadata"] == {"root_tol": 1e-10,
                                 "version": w9periods.__version__}
 
 
@@ -159,6 +162,14 @@ def test_trace_beyond_former_limit(capsys):
     assert code == 0
     (row,) = json.loads(out, parse_constant=_reject_constant)["points"]
     assert math.isfinite(row["y"]) and row["y"] > 10.0 / 3.0
+
+
+def test_trace_beyond_t_max(capsys):
+    code, out, _ = run(capsys, "trace", "--from", "700", "--to", "700",
+                       "--steps", "1")
+    assert code == 2
+    (row,) = json.loads(out, parse_constant=_reject_constant)["points"]
+    assert row["flags"] == "error:ParameterError" and row["y"] is None
 
 
 def test_trace_below_former_limit(capsys):
@@ -181,7 +192,7 @@ def test_verify_single(capsys):
 
 def test_verify_metadata_lists_applied_settings(capsys):
     code, out, _ = run(capsys, "verify", "--s", "2-sqrt(3)",
-                       "--series-tol", "1e-3", "--root-tol", "0.5")
+                       "--root-tol", "0.5")
     assert code == 0
     assert json.loads(out)["metadata"] == {"quad_tol": 1e-11,
                                            "version": w9periods.__version__}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import S_SQUARE, Z1, ZHAT1, series_brute
 from w9periods import geodesic as geo
@@ -82,6 +83,8 @@ def test_main_series_fixture_and_reality():
             assert abs(geo.main_series(float(t), float(y)).imag) < 1e-12
     with pytest.raises(ParameterError):
         geo.main_series(2.0, 1.0)
+    with pytest.raises(ParameterError):  # exp(3 pi t / 8) overflows at 602.6
+        geo.main_series(700.0, 700.35)
 
 
 def test_main_series_matches_transformed_theta():
@@ -107,7 +110,7 @@ def test_main_series_matches_brute_series():
 
 def test_solve_y_at_one():
     pt = geo.solve_y(1.0)
-    assert abs(pt.y - 4.0 / 3.0) < 1e-8
+    assert abs(pt.y - 4.0 / 3.0) < 1e-14
     assert np.abs(pt.Z - Z1).max() < 1e-8
     assert np.abs(pt.Zhat - ZHAT1).max() < 1e-8
     assert pt.residual < 1e-10
@@ -147,7 +150,49 @@ def test_solve_y_matches_quadrature_over_family():
         t, y = geo.extract_ty_from_cover(Zhat, shape_tol=1e-6)
         pt = geo.solve_y(t)
         assert pt.flags == ()
-        assert abs(pt.y - y) < 1e-9
+        assert abs(pt.y - y) < 1e-12
+
+
+def test_duality_on_quadrature_side():
+    # u -> u_dual(u) exchanges isomorphic curves, and the surfaces at t and
+    # 1/t are isomorphic: t(s) t(s') = 1 when g(s') = u_dual(g(s))
+    def t_of(s):
+        cover = w9.double_cover(w9.curve_Qs(s))
+        Zhat = period_matrix(cover, build_cycles(cover, LAYOUT_COVER))
+        return geo.extract_ty_from_cover(Zhat, shape_tol=1e-6)[0]
+
+    for s in (0.01, 0.05, 0.1, 0.2):
+        u = w9.u_dual(w9.g_of_s(s))
+        s_dual = brentq(lambda x: w9.g_of_s(x) - u, S_SQUARE,
+                        math.sqrt(3) / 3 - 1e-9, xtol=1e-15)
+        assert abs(t_of(s) * t_of(s_dual) - 1.0) < 1e-12
+
+
+def test_solve_y_over_its_domain():
+    for t in np.geomspace(1 / geo.T_MAX, geo.T_MAX, 25):
+        pt = geo.solve_y(float(t))
+        assert pt.flags == ()
+        assert pt.residual < 1e-12
+        assert pt.y > 2 * pt.t / 3
+        assert pt.evaluations <= 8
+
+
+def test_dual_map_matches_direct_root():
+    # for t < 1, y_t comes from the solve at 1/t; here the series at t
+    # itself is steep enough for a direct root to 1e-15
+    for t in (0.3, 0.5, 0.8):
+        f = lambda y: geo.main_series(t, y).real  # noqa: E731
+        direct = brentq(f, 2 * t / 3 + 0.05, 5 * t, xtol=1e-15)
+        assert abs(geo.solve_y(t).y - direct) < 1e-12
+
+
+def test_solve_y_pinned_near_zero():
+    # a 40-digit root of the series at t = 0.04, summed over the classes
+    # (sum k, sum k^2) of |k|_inf <= 40, is 0.0778520613045641492; a root
+    # of the float series itself is off by up to 7.5e-5 (slope 1.3e-8)
+    pt = geo.solve_y(0.04)
+    assert abs(pt.y - 0.0778520613045641492) < 1e-14
+    assert pt.flags == () and pt.evaluations <= 8
 
 
 def test_trace_below_former_limit():
@@ -158,12 +203,14 @@ def test_trace_below_former_limit():
 
 
 def test_solve_y_root_below_scan_start(monkeypatch):
-    # near t = 0 the root lies below the scan's first point 2t/3 + SCAN_STEP
-    with pytest.raises(BracketError):
-        geo.solve_y(0.02)
-    # below t = 0.0115 the default window end 5t lies below that point too,
-    # and the scan must still not reach below it (the series' root at
-    # t = 0.01 is y = 0.0508, under 2t/3 + SCAN_STEP = 0.0567)
+    # near t = 0 the root lies below the fallback scan's first point
+    # 2t/3 + SCAN_STEP; the solve at 1/t reaches it
+    pt = geo.solve_y(0.02)
+    assert pt.flags == () and 2 * 0.02 / 3 < pt.y < 2 * 0.02 / 3 + geo.SCAN_STEP
+    assert abs((1.5 * pt.y - 0.02) * (1.5 * geo.solve_y(50.0).y - 50.0) - 1) < 1e-12
+    # a stand-in whose only root lies below 2t/3 (of the dual t = 100) sends
+    # the secant out of the domain, and the fallback scan, which starts above
+    # 2t/3, finds no sign change
     monkeypatch.setattr(geo, "main_series", lambda t, y: complex(y - 0.0508))
     with pytest.raises(BracketError):
         geo.solve_y(0.01)
@@ -180,6 +227,9 @@ def test_solve_y_flags_extra_sign_changes(monkeypatch):
 def test_solve_y_validation():
     with pytest.raises(ParameterError):
         geo.solve_y(0.0)
+    for t in (1 / 700, 700.0):
+        with pytest.raises(ParameterError, match="1/T_MAX"):
+            geo.solve_y(t)
     with pytest.raises(ParameterError):
         geo.SolverConfig(root_tol=-1)
 
@@ -198,6 +248,12 @@ def test_trace_single_point():
     pts = geo.trace(1.0, 1.0, 1)
     assert len(pts) == 1
     assert abs(pts[0].y - 4.0 / 3.0) < 1e-8
+
+
+def test_trace_evaluation_budget():
+    pts = geo.trace(1.0, 10.0, 50)
+    assert all(not p.flags for p in pts)
+    assert sum(p.evaluations for p in pts) <= 250
 
 
 def test_trace_grid_refinement_is_consistent():
