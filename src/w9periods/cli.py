@@ -257,8 +257,7 @@ TRACE_HEADER = "t,y,re_z11,im_z11,re_z12,im_z12,re_z22,im_z22,residual,flags"
 
 
 def cmd_trace(args) -> int:
-    cfg = geodesic.SolverConfig(root_tol=args.root_tol)
-    pts = geodesic.trace(args.t_start, args.t_end, args.steps, cfg)
+    pts = geodesic.trace(args.t_start, args.t_end, args.steps)
     rows = []
     for p in pts:
         z11, z12, z22 = p.Z[0, 0], p.Z[0, 1], p.Z[1, 1]
@@ -277,7 +276,7 @@ def cmd_trace(args) -> int:
     # the NaN values of a failed point are written as JSON null
     points = [{k: v if k == "flags" or math.isfinite(v) else None
                for k, v in r.items()} for r in rows]
-    emit(args, {"points": points, "metadata": _meta(args, "root_tol")},
+    emit(args, {"points": points, "metadata": _meta(args)},
          "\n".join(lines) + "\n")
     return 2 if any(p.flags and p.flags[0].startswith("error:") for p in pts) else 0
 
@@ -400,7 +399,6 @@ def _add_global_flags(parser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else v
 
     parser.add_argument("--quad-tol", type=float, default=default(1e-11))
-    parser.add_argument("--root-tol", type=float, default=default(1e-10))
     parser.add_argument("--format", choices=("json", "csv"),
                         default=default("json"))
     parser.add_argument("--out", default=default(None))

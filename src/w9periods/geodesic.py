@@ -7,10 +7,11 @@ Stretching the surface by diag(1, t) moves its period matrix along
 where y_t is pinned down by a scalar equation: the even theta constant
 theta[1,1,1; 0,0,0](0, Zhat'_t) of the transformed cover matrix must vanish.
 main_series(t, y) is that constant, computed by theta.theta_char, times the
-nonzero factor exp(pi(3t/8 - 9i/8)) that makes it real.  solve_y finds its
-unique root y_t > 2t/3 in a few evaluations from two facts: y_t - t tends
-to ln3/pi, and the surfaces at t and 1/t are isomorphic.  The bound
-y > 2t/3 is exactly positive definiteness of all the period matrices.
+nonzero factor exp(pi(3t/8 - 9i/8)) that makes it real.  The series
+factors through the Borweins' cubic theta functions, so solve_y computes
+its unique root y_t > 2t/3 from an explicit formula for t >= 1 and the
+isomorphism of the surfaces at t and 1/t below.  The bound y > 2t/3 is
+exactly positive definiteness of all the period matrices.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, ParameterError, W9Error
+from .errors import ParameterError, W9Error
 from .theta import ThetaCharacteristic, theta_char
 
 SERIES_CHAR = ThetaCharacteristic((1, 1, 1), (0, 0, 0))
 ASYMPTOTE = math.log(3.0) / math.pi  # y_t - t -> ln 3 / pi as t -> inf
-SCAN_STEP = 0.05
-SCAN_MAX_FACTOR = 5.0  # the fallback scan reaches y = SCAN_MAX_FACTOR * t
 T_MAX = 600.0  # exp(3 pi t / 8) in main_series overflows at t ~ 602.6
 
 
@@ -91,21 +90,8 @@ def main_series(t: float, y: float) -> complex:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    root_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.root_tol > 0:
-            raise ParameterError("root_tol must be positive")
-
-
-DEFAULT_SOLVER = SolverConfig()
-
-
-@dataclass(frozen=True)
 class GeodesicPoint:
-    """One solved point: y is the root of main_series(t, .) above 2t/3;
-    evaluations counts the series evaluations it cost, residual included."""
+    """One solved point: y is the root of main_series(t, .) above 2t/3."""
 
     t: float
     y: float
@@ -113,107 +99,84 @@ class GeodesicPoint:
     Zhat: np.ndarray
     residual: float
     flags: tuple[str, ...] = ()
-    evaluations: int = 0
 
 
-def _secant(f, t: float, tol: float) -> float | None:
-    """Secant from t + ln3/pi and that minus the gap 0.377 exp(-pi t), floored
-    at 1e-7 to keep the seeds apart at large t.  None if an iterate leaves
-    (2t/3, inf) or 10 steps do not bring the step in y down to tol."""
-    y0 = t + ASYMPTOTE
-    y1 = y0 - max(0.377 * math.exp(-math.pi * t), 1e-7)
-    f0 = f(y0)
-    for _ in range(10):
-        f1 = f(y1)
-        if f1 == f0:
-            return None
-        y0, y1, f0 = y1, y1 - f1 * (y1 - y0) / (f1 - f0), f1
-        if not y1 > 2.0 * t / 3.0:
-            return None
-        if abs(y1 - y0) <= tol:
-            return y1
-    return None
+def _rho(t: float) -> float:
+    """rho(t) = -F1(t)/F0(t) exp(-pi t / 3) for t >= 1, where
 
+        F_j(t) = sum_n (-1)^(n(n+3)/2) exp(-pi t (n + 3/2)^2 / 6)
 
-def _refine(f, a: float, b: float, f_a: float, f_b: float, tol: float) -> float:
-    """Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) on a sign
-    change bracket [a, b]: every iterate stays inside it, and halving the
-    kept end's value when two iterates in a row fall on one side makes it
-    superlinear.  Stops at an exact zero, width <= tol, or 100 steps."""
-    for _ in range(100):
-        y = b - f_b * (b - a) / (f_b - f_a)
-        f_y = f(y)
-        if f_y == 0.0:
-            return y
-        if (f_y > 0) == (f_b > 0):
-            f_a *= 0.5
+    over n = 0 (mod 3) for j = 0 and over the other n for j = 1.  The terms
+    of n and -3 - n are equal, so both sums run over n >= -1, each scaled
+    by its largest term; the first terms left out are exp(-18 pi t) in F0
+    and exp(-22 pi t) in F1."""
+    f0 = f1 = 0.0
+    for n in range(-1, 9):
+        sign = -1.0 if n * (n + 3) // 2 % 2 else 1.0
+        if n % 3:
+            f1 += sign * math.exp(-math.pi * t * (n + 1) * (n + 2) / 6)
         else:
-            a, f_a = b, f_b
-        b, f_b = y, f_y
-        if abs(b - a) <= tol:
-            break
-    return b
+            f0 += sign * math.exp(-math.pi * t * n * (n + 3) / 6)
+    return -f1 / f0
 
 
-def _scan_brackets(f, t: float):
-    """All sign-change brackets (lo, hi, f_lo, f_hi) of f on the grid from
-    2t/3 + SCAN_STEP in steps of SCAN_STEP up to SCAN_MAX_FACTOR t."""
-    hi = SCAN_MAX_FACTOR * t
-    ys = np.append(np.arange(2.0 * t / 3.0 + SCAN_STEP, hi, SCAN_STEP), hi)
-    fs = [f(y) for y in ys]
-    return [(ys[i - 1], ys[i], fs[i - 1], fs[i]) for i in range(1, len(ys))
-            if fs[i] == 0.0 or (fs[i] > 0) != (fs[i - 1] > 0)]
+# exponents of the cubic theta sums a(q) and C(q) of solve_y over |m|, |n| <= 3;
+# the first terms left out are q^12 and q^10, and q < exp(-2 pi) when t >= 1
+_BOX = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+_A_EXPONENTS = tuple(m * m + m * n + n * n for m, n in _BOX)
+_C_EXPONENTS = tuple(m * m + m * n + n * n + m + n for m, n in _BOX)
 
 
-def solve_y(t: float, cfg: SolverConfig = DEFAULT_SOLVER) -> GeodesicPoint:
+def solve_y(t: float) -> GeodesicPoint:
     """Root y_t of main_series(t, .) in y > 2t/3, for t in [1/T_MAX, T_MAX].
 
-    For t >= 1 a secant runs from y_t's asymptote until its step in y is
-    at most root_tol.  The surface at t < 1 is the one at 1/t, so y_t comes
-    from (3y_t/2 - t)(3y_{1/t}/2 - 1/t) = 1, and residual is that of the
-    solve at 1/t: at small t the series is flat in y and costly.  If the
-    secant fails, the sign scan with regula falsi takes over and flags
-    every extra sign change, or raises BracketError if it finds none.
+    Grouped by k_1 + k_2 + k_3 mod 3, the series is
+    exp(3 pi t / 8) [a(q) F0(t) + c(q) F1(t)] with q = exp(-2 pi (3y/2 - t)),
+    where a(q) = sum_{m,n} q^(m^2+mn+n^2) and c(q) = q^(1/3) sum_{m,n}
+    q^(m^2+mn+n^2+m+n) are the Borweins' cubic theta functions (Trans.
+    AMS 323, 1991).  c/a increases from 0 to 1 on 0 < q < 1 and
+    r(t) = -F1/F0 > 1, so the root, a(q)/c(q) = r(t), is unique.  For
+    t >= 1 it is the fixed point of
+
+        y - t = (1/pi) ln(rho(t) C(q) / a(q)),   q = exp(-pi (t + 3 (y - t))),
+
+    with C = c q^(-1/3), iterated from y - t = ln3/pi; the map contracts
+    by about 15 q.  The surface at t < 1 is the one at 1/t, so y_t comes
+    from (3y_t/2 - t)(3y_{1/t}/2 - 1/t) = 1.  residual is |main_series| at
+    the root for max(t, 1/t), an independent check of the formula.
     """
     if not 1.0 / T_MAX <= t <= T_MAX:
         raise ParameterError(f"t = {t} outside [1/T_MAX, T_MAX] = "
                              f"[{1 / T_MAX:g}, {T_MAX:g}]")
     t_up = max(t, 1.0 / t)
-    evaluations = 1  # the residual's
-
-    def f(y):
-        nonlocal evaluations
-        evaluations += 1
-        return main_series(t_up, y).real
-
-    flags = ()
-    y = _secant(f, t_up, cfg.root_tol)
-    if y is None:
-        brackets = _scan_brackets(f, t_up)
-        if not brackets:
-            raise BracketError(f"no sign change of the series for t = {t_up}")
-        if len(brackets) > 1:
-            flags = ("multiple_sign_changes",)
-        y = _refine(f, *brackets[0], cfg.root_tol)
-    residual = abs(main_series(t_up, y))
+    rho = _rho(t_up)
+    gap = ASYMPTOTE
+    for _ in range(40):
+        q = math.exp(-math.pi * (t_up + 3.0 * gap))
+        a = sum(q ** e for e in _A_EXPONENTS)
+        c = sum(q ** e for e in _C_EXPONENTS)
+        gap, prev = math.log(rho * c / a) / math.pi, gap
+        if abs(gap - prev) <= 1e-16:  # about 2 ulp of gap ~ 0.35
+            break
+    residual = abs(main_series(t_up, t_up + gap))
     if t < 1.0:
-        y = 2.0 / 3.0 * (t + 1.0 / (1.5 * y - t_up))
-    return GeodesicPoint(t, y, z_of_ty(t, y), zhat_of_ty(t, y), residual,
-                         flags, evaluations)
+        y = 2.0 / 3.0 * (t + 1.0 / (0.5 * t_up + 1.5 * gap))
+    else:
+        y = t + gap
+    return GeodesicPoint(t, y, z_of_ty(t, y), zhat_of_ty(t, y), residual)
 
 
-def trace(t_start: float, t_end: float, steps: int,
-          cfg: SolverConfig = DEFAULT_SOLVER) -> list[GeodesicPoint]:
+def trace(t_start: float, t_end: float, steps: int) -> list[GeodesicPoint]:
     """One solve_y per point of a uniform t grid.  A point that fails is
     recorded with an error flag and NaN values, not dropped."""
     if steps < 1:
         raise ParameterError("steps must be >= 1")
-    if not 0 < t_start <= t_end:
-        raise ParameterError("need 0 < t_start <= t_end")
+    if not (0 < t_start <= t_end and math.isfinite(t_end)):
+        raise ParameterError("need 0 < t_start <= t_end < inf")
     points = []
     for t in np.linspace(t_start, t_end, steps):
         try:
-            points.append(solve_y(t, cfg))
+            points.append(solve_y(t))
         except W9Error as exc:  # recorded, not dropped
             nan2 = np.full((2, 2), complex(math.nan, math.nan))
             nan3 = np.full((3, 3), complex(math.nan, math.nan))

@@ -79,6 +79,9 @@ def test_periods_usage_errors(capsys):
     code, _, _ = run(capsys, "trace", "--from", "1", "--to", "1", "--steps", "1",
                      "--series-tol", "1e-3")
     assert code == 1
+    code, _, _ = run(capsys, "trace", "--from", "1", "--to", "1", "--steps", "1",
+                     "--root-tol", "1e-9")
+    assert code == 1
 
 
 def test_periods_numerical_error_exit_code(capsys):
@@ -152,8 +155,7 @@ def test_trace_json_is_strict(capsys, monkeypatch):
     assert row["flags"] == "error:TruncationError"
     assert row["t"] == 1.0
     assert all(row[k] is None for k in row if k not in ("t", "flags"))
-    assert data["metadata"] == {"root_tol": 1e-10,
-                                "version": w9periods.__version__}
+    assert data["metadata"] == {"version": w9periods.__version__}
 
 
 def test_trace_beyond_former_limit(capsys):
@@ -170,6 +172,12 @@ def test_trace_beyond_t_max(capsys):
     assert code == 2
     (row,) = json.loads(out, parse_constant=_reject_constant)["points"]
     assert row["flags"] == "error:ParameterError" and row["y"] is None
+
+
+def test_trace_rejects_infinite_end(capsys):
+    code, out, err = run(capsys, "trace", "--from", "1", "--to", "inf",
+                         "--steps", "2")
+    assert code == 2 and out == "" and "t_end" in err
 
 
 def test_trace_below_former_limit(capsys):
@@ -191,8 +199,7 @@ def test_verify_single(capsys):
 
 
 def test_verify_metadata_lists_applied_settings(capsys):
-    code, out, _ = run(capsys, "verify", "--s", "2-sqrt(3)",
-                       "--root-tol", "0.5")
+    code, out, _ = run(capsys, "verify", "--s", "2-sqrt(3)")
     assert code == 0
     assert json.loads(out)["metadata"] == {"quad_tol": 1e-11,
                                            "version": w9periods.__version__}
@@ -241,7 +248,7 @@ def test_json_matrix_roundtrip(capsys, tmp_path):
 
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("root-tol=1e-9\nformat=json\n")
+    cfg.write_text("quad-tol=1e-9\nformat=json\n")
     code, out, _ = run(capsys, "--config", str(cfg), "classify", "--s", "0.1")
     assert code == 0
     assert json.loads(out)["satisfied"] == []

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -7,8 +8,8 @@ from scipy.optimize import brentq
 from conftest import S_SQUARE, Z1, ZHAT1, series_brute
 from w9periods import geodesic as geo
 from w9periods import w9
-from w9periods.errors import (BracketError, ParameterError,
-                              ShapeMismatchError, TruncationError)
+from w9periods.errors import (ParameterError, ShapeMismatchError,
+                              TruncationError)
 from w9periods.periods import LAYOUT_COVER, build_cycles, period_matrix
 from w9periods.siegel import base_change, is_riemann_matrix
 from w9periods.theta import ThetaCharacteristic, theta_char
@@ -97,15 +98,91 @@ def test_main_series_matches_transformed_theta():
         assert abs(th - factor * geo.main_series(t, y)) < 1e-10
 
 
+def _product_form(t, y, radius=24):
+    """exp(3 pi t / 8) [a(q) F0(t) + c(q) F1(t)] with q = exp(-2 pi (3y/2 - t)),
+    summed directly: the cubic theta functions a(q) = sum q^(m^2+mn+n^2) and
+    c(q) = sum q^((m+1/3)^2+(m+1/3)(n+1/3)+(n+1/3)^2) over |m|, |n| <= radius,
+    and F_j(t) = sum (-1)^(n(n+3)/2) exp(-pi t (n + 3/2)^2 / 6) over
+    |n + 3/2| <= radius with n = 0 (mod 3) for j = 0, n != 0 for j = 1."""
+    q = math.exp(-2 * math.pi * (1.5 * y - t))
+    axis = np.arange(-radius, radius + 1)
+    m, n = np.meshgrid(axis, axis, indexing="ij")
+    u, v = m + 1 / 3, n + 1 / 3
+    a = math.fsum((q ** (m * m + m * n + n * n)).ravel())
+    c = math.fsum((q ** (u * u + u * v + v * v)).ravel())
+    k = np.arange(-radius - 1, radius - 1)
+    terms = (np.where(k * (k + 3) // 2 % 2, -1.0, 1.0)
+             * np.exp(-math.pi * t * (k + 1.5) ** 2 / 6))
+    f0, f1 = math.fsum(terms[k % 3 == 0]), math.fsum(terms[k % 3 != 0])
+    return math.exp(3 * math.pi * t / 8) * (a * f0 + c * f1)
+
+
 def test_main_series_matches_brute_series():
     # the k = 0 term is 1, so near the root (y = t + 0.35, values ~2e-3)
-    # rounding in either sum is measured against 1, not against the value
+    # rounding in either sum is measured against 1, not against the value;
+    # the cubic-theta product form that solve_y inverts is held to the same
     for t in (0.3, 1.0, 2.0, 5.0, 10.0):
         for y in (2 * t / 3 + 0.05, 2 * t / 3 + 0.5, t + 0.35):
             ref = series_brute(t, y, radius=24)
             got = geo.main_series(t, y)
             assert type(got) is complex
             assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+            assert abs(_product_form(t, y) - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+def _mp_r(t):
+    """r(t) = -F1(t)/F0(t), summed at the working precision of mpmath."""
+    t = mpmath.mpf(t)
+    f = [mpmath.mpf(0), mpmath.mpf(0)]
+    for n in range(-40, 38):
+        term = mpmath.exp(-mpmath.pi * t * (n + mpmath.mpf(3) / 2) ** 2 / 6)
+        f[n % 3 != 0] += -term if n * (n + 3) // 2 % 2 else term
+    return -f[1] / f[0]
+
+
+def test_solve_y_matches_hypergeometric_inverse():
+    # the cubic analogue of Jacobi's inversion (Borwein and Borwein, Trans.
+    # AMS 323, 1991; Berndt, Bhargava and Garvan, Trans. AMS 347, 1995):
+    # a(q)/c(q) = r with q = exp(-2 pi A) has A = F(1 - x) / (sqrt3 F(x)),
+    # F = 2F1(1/3, 2/3; 1; .) and x = r^-3, and then y = (2/3)(t + A)
+    def F(z):
+        return mpmath.hyp2f1(mpmath.mpf(1) / 3, mpmath.mpf(2) / 3, 1, z)
+
+    with mpmath.workdps(40):
+        for t in (1.0, 2.0, 5.0, 20.0):
+            x = _mp_r(t) ** -3
+            y = 2 * (t + F(1 - x) / (mpmath.sqrt(3) * F(x))) / 3
+            assert abs(geo.solve_y(t).y - float(y)) < 1e-13
+
+
+def test_root_is_unique():
+    # a(q)/c(q) = r(t) has exactly one root q in (0, 1), that is y > 2t/3,
+    # because c/a increases on (0, 1) from 0 towards 1 and r(t) > 1
+    with mpmath.workdps(40):
+        for t in np.geomspace(1.0, geo.T_MAX, 25):
+            r = _mp_r(float(t))
+            assert r > 1
+            rho = r * mpmath.exp(-mpmath.pi * float(t) / 3)
+            assert abs(geo._rho(float(t)) / rho - 1) < 1e-15
+    # split by the parity of m, the cubic sums are products of the 1-D
+    # sums s(h, w) = sum_k q^(w (k + h)^2); near q = 1, 1 - c/a is about
+    # 1e-53, hence 80 digits
+    with mpmath.workdps(80):
+        ratios = []
+        for q in np.linspace(0.01, 0.9, 60):
+            lq = mpmath.log(mpmath.mpf(q))
+
+            def s(h, w):
+                return mpmath.fsum(mpmath.exp(lq * w * (k + h) ** 2)
+                                   for k in range(-60, 61))
+
+            half, sixth, two_thirds = (mpmath.mpf(1) / 2, mpmath.mpf(1) / 6,
+                                       mpmath.mpf(2) / 3)
+            a = s(0, 1) * s(0, 3) + s(half, 1) * s(half, 3)
+            c = s(half, 1) * s(sixth, 3) + s(0, 1) * s(two_thirds, 3)
+            ratios.append(c / a)
+        assert 0 < ratios[0] and ratios[-1] < 1
+        assert all(lo < hi for lo, hi in zip(ratios, ratios[1:]))
 
 
 def test_solve_y_at_one():
@@ -168,13 +245,23 @@ def test_duality_on_quadrature_side():
         assert abs(t_of(s) * t_of(s_dual) - 1.0) < 1e-12
 
 
-def test_solve_y_over_its_domain():
+def _count_series(monkeypatch):
+    """A list that grows by one entry per main_series call."""
+    calls, series = [], geo.main_series
+    monkeypatch.setattr(geo, "main_series",
+                        lambda t, y: calls.append((t, y)) or series(t, y))
+    return calls
+
+
+def test_solve_y_over_its_domain(monkeypatch):
+    calls = _count_series(monkeypatch)
     for t in np.geomspace(1 / geo.T_MAX, geo.T_MAX, 25):
+        before = len(calls)
         pt = geo.solve_y(float(t))
         assert pt.flags == ()
         assert pt.residual < 1e-12
         assert pt.y > 2 * pt.t / 3
-        assert pt.evaluations <= 8
+        assert len(calls) - before == 1
 
 
 def test_dual_map_matches_direct_root():
@@ -192,7 +279,7 @@ def test_solve_y_pinned_near_zero():
     # of the float series itself is off by up to 7.5e-5 (slope 1.3e-8)
     pt = geo.solve_y(0.04)
     assert abs(pt.y - 0.0778520613045641492) < 1e-14
-    assert pt.flags == () and pt.evaluations <= 8
+    assert pt.flags == ()
 
 
 def test_trace_below_former_limit():
@@ -202,26 +289,12 @@ def test_trace_below_former_limit():
     assert abs(pts[-1].y - 4.0 / 3.0) < 1e-10
 
 
-def test_solve_y_root_below_scan_start(monkeypatch):
-    # near t = 0 the root lies below the fallback scan's first point
-    # 2t/3 + SCAN_STEP; the solve at 1/t reaches it
+def test_solve_y_root_below_scan_start():
+    # near t = 0 the root lies within 0.05 of the domain edge 2t/3, where
+    # the series is flat in y; the solve at 1/t reaches it
     pt = geo.solve_y(0.02)
-    assert pt.flags == () and 2 * 0.02 / 3 < pt.y < 2 * 0.02 / 3 + geo.SCAN_STEP
+    assert pt.flags == () and 2 * 0.02 / 3 < pt.y < 2 * 0.02 / 3 + 0.05
     assert abs((1.5 * pt.y - 0.02) * (1.5 * geo.solve_y(50.0).y - 50.0) - 1) < 1e-12
-    # a stand-in whose only root lies below 2t/3 (of the dual t = 100) sends
-    # the secant out of the domain, and the fallback scan, which starts above
-    # 2t/3, finds no sign change
-    monkeypatch.setattr(geo, "main_series", lambda t, y: complex(y - 0.0508))
-    with pytest.raises(BracketError):
-        geo.solve_y(0.01)
-
-
-def test_solve_y_flags_extra_sign_changes(monkeypatch):
-    monkeypatch.setattr(geo, "main_series",
-                        lambda t, y: complex((y - 1) * (y - 2) * (y - 3)))
-    pt = geo.solve_y(1.0)
-    assert pt.flags == ("multiple_sign_changes",)
-    assert abs(pt.y - 1.0) < 1e-10
 
 
 def test_solve_y_validation():
@@ -230,8 +303,6 @@ def test_solve_y_validation():
     for t in (1 / 700, 700.0):
         with pytest.raises(ParameterError, match="1/T_MAX"):
             geo.solve_y(t)
-    with pytest.raises(ParameterError):
-        geo.SolverConfig(root_tol=-1)
 
 
 def test_trace_grid():
@@ -250,10 +321,18 @@ def test_trace_single_point():
     assert abs(pts[0].y - 4.0 / 3.0) < 1e-8
 
 
-def test_trace_evaluation_budget():
+def test_trace_evaluation_budget(monkeypatch):
+    calls = _count_series(monkeypatch)
     pts = geo.trace(1.0, 10.0, 50)
     assert all(not p.flags for p in pts)
-    assert sum(p.evaluations for p in pts) <= 250
+    assert len(calls) == 50
+
+
+def test_trace_requires_finite_bounds():
+    # np.linspace(1, inf, n) is all NaN and inf: the t = 1 point would be lost
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="t_end"):
+            geo.trace(1.0, t_end, 3)
 
 
 def test_trace_grid_refinement_is_consistent():
