@@ -92,17 +92,18 @@ def parse_matrix(text: str, prefer_g: int | None = None) -> np.ndarray:
         try:
             with open(text) as fh:
                 data = json.load(fh)
+            options = ([decode_matrix(data[k]) for k in ("Z", "Zhat") if k in data]
+                       if isinstance(data, dict) else [decode_matrix(data)])
         except OSError as exc:
             raise UsageError(f"cannot read matrix file {text!r}: {exc}") from exc
-        if isinstance(data, dict):
-            options = [decode_matrix(data[k]) for k in ("Z", "Zhat") if k in data]
-            if not options:
-                raise UsageError(f"no matrix found in {text!r}")
-            for M in options:
-                if prefer_g is not None and M.shape == (prefer_g, prefer_g):
-                    return M
-            return options[0]
-        return decode_matrix(data)
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"malformed matrix file {text!r}: {exc}") from exc
+        if not options:
+            raise UsageError(f"no matrix found in {text!r}")
+        for M in options:
+            if prefer_g is not None and M.shape == (prefer_g, prefer_g):
+                return M
+        return options[0]
     try:
         node = _parse(text)
         if not (isinstance(node, ast.List) and node.elts
@@ -185,6 +186,12 @@ def _base_curve_from_args(args) -> periods.HyperellipticCurve:
     return periods.HyperellipticCurve(tuple(roots))
 
 
+# basis -> (number of base roots, cycle layout of the curve integrated)
+BASES = {"genus2_w9": (5, periods.LAYOUT_GENUS2),
+         "cover": (5, periods.LAYOUT_COVER),
+         "elliptic": (3, periods.LAYOUT_ELLIPTIC)}
+
+
 def cmd_periods(args) -> int:
     forms = [f for f in ("roots", "s", "u", "lam") if getattr(args, f) is not None]
     if len(forms) != 1:
@@ -196,28 +203,16 @@ def cmd_periods(args) -> int:
         emit(args, {"Z": encode_value(Z), "metadata": _meta(args)}, matrix_csv(Z))
         return 0
     curve = _base_curve_from_args(args)
-    quad = _quad(args)
-    meta = _meta(args, "quad_tol")
-    if args.basis == "elliptic":
-        if len(curve.branch_points) != 3:
-            raise UsageError("elliptic basis needs exactly 3 roots")
-        plan = periods.build_cycles(curve, periods.LAYOUT_ELLIPTIC)
-        Z = periods.period_matrix(curve, plan, quad)
-        emit(args, {"Z": encode_value(Z), "metadata": meta}, matrix_csv(Z))
-        return 0
-    if len(curve.branch_points) != 5:
-        raise UsageError(f"{args.basis} basis needs exactly 5 base roots")
-    if args.basis == "genus2_w9":
-        plan = periods.build_cycles(curve, periods.LAYOUT_GENUS2)
-        Z = periods.period_matrix(curve, plan, quad)
-        emit(args, {"Z": encode_value(Z), "metadata": meta}, matrix_csv(Z))
-        return 0
-    cover = w9.double_cover(curve)
-    plan = periods.build_cycles(cover, periods.LAYOUT_COVER)
-    Zhat = periods.period_matrix(cover, plan, quad)
-    Z = w9.base_from_cover(Zhat)
-    emit(args, {"Z": encode_value(Z), "Zhat": encode_value(Zhat),
-                "metadata": meta}, matrix_csv(Zhat))
+    count, layout = BASES[args.basis]
+    if len(curve.branch_points) != count:
+        raise UsageError(f"{args.basis} basis needs exactly {count} roots")
+    if args.basis == "cover":
+        curve = w9.double_cover(curve)
+    M = periods.period_matrix(curve, periods.build_cycles(curve, layout), _quad(args))
+    # the cover also emits the base matrix it determines, first
+    payload = ({"Z": encode_value(w9.base_from_cover(M)), "Zhat": encode_value(M)}
+               if args.basis == "cover" else {"Z": encode_value(M)})
+    emit(args, {**payload, "metadata": _meta(args, "quad_tol")}, matrix_csv(M))
     return 0
 
 
@@ -238,9 +233,8 @@ def cmd_theta(args) -> int:
     Z = parse_matrix(args.matrix, prefer_g=ch.g)
     if Z.shape != (ch.g, ch.g):
         raise UsageError(f"matrix shape {Z.shape} does not match g = {ch.g}")
-    lam = min_eig_im(Z)
-    radius = truncation_radius(lam, ch.g, DEFAULT_POLICY)
     value = theta_char(ch, np.zeros(ch.g), Z, DEFAULT_POLICY)
+    radius = truncation_radius(min_eig_im(Z), ch.g, DEFAULT_POLICY)
     payload = {
         "value": encode_value(value),
         "abs": abs(value),
@@ -256,8 +250,17 @@ def cmd_theta(args) -> int:
 TRACE_HEADER = "t,y,re_z11,im_z11,re_z12,im_z12,re_z22,im_z22,residual,flags"
 
 
+def _parse_t(text: str, what: str) -> float:
+    """A float literal (inf included, for trace to reject) or an expression."""
+    try:
+        return float(text)
+    except ValueError:
+        return parse_real(text, what)
+
+
 def cmd_trace(args) -> int:
-    pts = geodesic.trace(args.t_start, args.t_end, args.steps)
+    pts = geodesic.trace(_parse_t(args.t_start, "--from"),
+                         _parse_t(args.t_end, "--to"), args.steps)
     rows = []
     for p in pts:
         z11, z12, z22 = p.Z[0, 0], p.Z[0, 1], p.Z[1, 1]
@@ -419,20 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", default=None)
     p.add_argument("--u", default=None)
     p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--basis", choices=("genus2_w9", "cover", "elliptic"),
-                   default="genus2_w9")
+    p.add_argument("--basis", choices=tuple(BASES), default="genus2_w9")
     p.set_defaults(func=cmd_periods)
 
     p = sub.add_parser("theta", parents=[common], help="theta constant with a characteristic")
     p.add_argument("--char", required=True)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--g", type=int, default=None,
-                   help="expected genus (consistency check only)")
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("trace", parents=[common], help="trace the geodesic over a t grid")
-    p.add_argument("--from", dest="t_start", type=float, required=True)
-    p.add_argument("--to", dest="t_end", type=float, required=True)
+    p.add_argument("--from", dest="t_start", required=True)
+    p.add_argument("--to", dest="t_end", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=cmd_trace)
 
@@ -454,11 +454,6 @@ def main(argv=None) -> int:
         argv = _apply_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
-        if args.command == "theta" and args.g is not None:
-            ch = _parse_char(args.char)
-            if ch.g != args.g:
-                raise UsageError(f"--g {args.g} does not match characteristic "
-                                 f"genus {ch.g}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

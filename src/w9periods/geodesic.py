@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, W9Error
 from .theta import ThetaCharacteristic, theta_char
+from .w9 import CoverShape, cover_shape_extract
 
 SERIES_CHAR = ThetaCharacteristic((1, 1, 1), (0, 0, 0))
 ASYMPTOTE = math.log(3.0) / math.pi  # y_t - t -> ln 3 / pi as t -> inf
@@ -40,15 +41,10 @@ def _require_domain(t: float, y: float) -> None:
 
 
 def zhat_of_ty(t: float, y: float) -> np.ndarray:
-    """Cover period matrix along the geodesic:
-    [[iy, iy/2, i(t - y/2)], [iy/2, 1/2 + i(y - t/2), iy/2],
-     [i(t - y/2), iy/2, iy]]."""
+    """Cover period matrix along the geodesic: the cover pattern with
+    z1 = iy, z13 = i(t - y/2), so its center is 1/2 + i(y - t/2)."""
     _require_domain(t, y)
-    return np.array([
-        [1j * y, 0.5j * y, 1j * (t - 0.5 * y)],
-        [0.5j * y, 0.5 + 1j * (y - 0.5 * t), 0.5j * y],
-        [1j * (t - 0.5 * y), 0.5j * y, 1j * y],
-    ])
+    return CoverShape(1j * y, 1j * (t - 0.5 * y)).matrix()
 
 
 def zhat_prime(t: float, y: float) -> np.ndarray:
@@ -192,8 +188,6 @@ def extract_ty_from_cover(Zhat, shape_tol: float = 1e-9,
     The matrix must match the cover pattern and have purely imaginary
     z1, z13 (the M-curve reality condition).
     """
-    from .w9 import cover_shape_extract
-
     shape = cover_shape_extract(Zhat, shape_tol)
     if abs(shape.z1.real) > reality_tol or abs(shape.z13.real) > reality_tol:
         raise ParameterError(

@@ -24,6 +24,7 @@ anchors of the genus-2 arcs agree with continuation between arcs.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ class HyperellipticCurve:
         pts = self.branch_points
         if len(pts) < 3:
             raise ParameterError("need at least 3 branch points")
+        if not all(map(cmath.isfinite, pts)):
+            raise ParameterError(f"branch points must be finite, got {pts}")
         sep, i, j = min((abs(pts[i] - pts[j]), i, j)
                         for i in range(len(pts)) for j in range(i + 1, len(pts)))
         if sep <= MIN_ROOT_SEPARATION:
@@ -234,12 +237,6 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath, ks,
         return half * acc[pick]
 
     return integrate_levels(estimate, quad)
-
-
-def integrate_arc(curve: HyperellipticCurve, path: ArcPath, k: int,
-                  quad: QuadConfig = DEFAULT_QUAD) -> complex:
-    """Single abelian arc integral of x^(k-1) dx / sqrt(P)."""
-    return complex(arc_integrals(curve, path, [k], quad)[0])
 
 
 def _approx_index(values, target, tol=1e-9):

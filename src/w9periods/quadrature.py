@@ -38,8 +38,8 @@ class QuadConfig:
     tol: float = 1e-11
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ParameterError("quadrature tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ParameterError("quadrature tolerance must be positive and finite")
 
 
 DEFAULT_QUAD = QuadConfig()

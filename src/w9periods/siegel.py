@@ -60,12 +60,6 @@ def lu_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X[:, 0] if vec else X
 
 
-def inv(M: np.ndarray) -> np.ndarray:
-    """Matrix inverse via the pivoted LU above."""
-    M = _as_square(M)
-    return lu_solve(M, np.eye(M.shape[0], dtype=complex))
-
-
 def min_eig_im(Z) -> float:
     """Smallest eigenvalue of Im(Z) for a (nearly) symmetric complex matrix."""
     Z = _as_square(Z)

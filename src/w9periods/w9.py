@@ -113,7 +113,7 @@ def _polish_root(coeffs: np.ndarray, x: complex) -> complex:
 
 def curve_Pu(u) -> HyperellipticCurve:
     """The quintic curve y^2 = x (x - 1) (x^3 + u x^2 - (8/3) u x + (16/9) u)."""
-    if u in (0, -9):
+    if u in (0, -9) or not np.isfinite(u):
         raise ParameterError(f"u = {u} is excluded")
     coeffs = np.array([1.0, u, -8.0 * u / 3.0, 16.0 * u / 9.0], dtype=complex)
     cubic = [_polish_root(coeffs, r) for r in np.roots(coeffs)]
@@ -301,8 +301,8 @@ def silhol_order4_period(lam: float) -> np.ndarray:
     i * [[(2 lam^2 - 2 lam + 1)/(2 lam - 1), -2 lam (lam - 1)/(2 lam - 1)],
          [same off-diagonal, same diagonal]].
     """
-    if 2.0 * lam - 1.0 <= 0:
-        raise ParameterError("need lam > 1/2 for a positive definite matrix")
+    if not 0 < 2.0 * lam - 1.0 < math.inf:
+        raise ParameterError("need finite lam > 1/2 for a positive definite matrix")
     d = (2.0 * lam * lam - 2.0 * lam + 1.0) / (2.0 * lam - 1.0)
     o = -2.0 * lam * (lam - 1.0) / (2.0 * lam - 1.0)
     return 1j * np.array([[d, o], [o, d]])

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from w9periods import cli, geodesic
 from w9periods.errors import TruncationError
 
 SQRT3 = math.sqrt(3.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -89,6 +92,12 @@ def test_periods_numerical_error_exit_code(capsys):
     assert code == 2
 
 
+def test_periods_non_finite_root(capsys):
+    # rejected when the curve is built, before any quadrature level
+    code, out, err = run(capsys, "periods", "--roots=-1,0,1e400,2,3")
+    assert code == 2 and out == "" and "finite" in err
+
+
 def test_theta_fixture(capsys, tmp_path):
     out_file = tmp_path / "zhat.json"
     run(capsys, "periods", "--s", "2-sqrt(3)", "--basis", "cover",
@@ -105,8 +114,7 @@ def test_theta_fixture(capsys, tmp_path):
 
 
 def test_theta_inline_odd(capsys):
-    code, out, _ = run(capsys, "theta", "--char", "1;1", "--g", "1",
-                       "--matrix", "[[i]]")
+    code, out, _ = run(capsys, "theta", "--char", "1;1", "--matrix", "[[i]]")
     assert code == 0
     data = json.loads(out)
     assert data["abs"] < 1e-12
@@ -114,9 +122,29 @@ def test_theta_inline_odd(capsys):
 
 
 def test_theta_genus_mismatch(capsys):
-    code, _, err = run(capsys, "theta", "--char", "11;11", "--g", "3",
-                       "--matrix", "[[i]]")
+    code, _, err = run(capsys, "theta", "--char", "11;11", "--matrix", "[[i]]")
+    assert code == 1 and "does not match" in err
+
+
+def test_theta_removed_genus_flag(capsys):
+    # the characteristic fixes the genus; there is no separate --g
+    code, _, _ = run(capsys, "theta", "--char", "1;1", "--g", "1",
+                     "--matrix", "[[i]]")
     assert code == 1
+
+
+def test_theta_matrix_file_invalid_json(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"Z": [[1, 2]')
+    code, out, err = run(capsys, "theta", "--char", "1;1", "--matrix", str(path))
+    assert code == 1 and out == "" and err.startswith("usage error:")
+
+
+def test_theta_matrix_file_ragged_rows(capsys, tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"Z": [[{"re": 0, "im": 1}, 0], [0]]}))
+    code, out, err = run(capsys, "theta", "--char", "11;11", "--matrix", str(path))
+    assert code == 1 and out == "" and err.startswith("usage error:")
 
 
 def test_trace_csv_schema(capsys):
@@ -178,6 +206,14 @@ def test_trace_rejects_infinite_end(capsys):
     code, out, err = run(capsys, "trace", "--from", "1", "--to", "inf",
                          "--steps", "2")
     assert code == 2 and out == "" and "t_end" in err
+
+
+def test_trace_bounds_are_expressions(capsys):
+    code, out, _ = run(capsys, "trace", "--from", "1/3", "--to", "1",
+                       "--steps", "2")
+    assert code == 0
+    rows = json.loads(out)["points"]
+    assert len(rows) == 2 and rows[0]["t"] == 1.0 / 3.0
 
 
 def test_trace_below_former_limit(capsys):
@@ -261,3 +297,13 @@ def test_determinism(capsys):
                         "--steps", "3")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_readme_examples_parse():
+    # every example of the README's "Command line" section is a valid
+    # command line; parsed only, nothing runs
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("w9periods ")]
+    assert len(lines) == 13
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])

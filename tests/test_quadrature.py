@@ -13,6 +13,12 @@ def test_config_validation():
         QuadConfig(tol=0)
 
 
+def test_config_rejects_non_finite_tol():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            QuadConfig(tol=bad)
+
+
 def test_nodes_structure():
     u, one_minus, one_plus, w = tanh_sinh_nodes(5)
     assert len(u) % 2 == 1

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import Z1, ZHAT1, random_riemann_matrix, random_symplectic
 from w9periods.errors import DimensionError, SingularMatrixError
-from w9periods.siegel import (base_change, blocks, inv, is_riemann_matrix,
+from w9periods.siegel import (base_change, blocks, is_riemann_matrix,
                               lu_solve, min_eig_im, siegel_action,
                               standard_j, symmetry_residual, symplectic_check)
 
@@ -35,7 +35,7 @@ def test_lu_solve_singular():
 def test_inv_roundtrip():
     rng = np.random.default_rng(2)
     M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.abs(M @ inv(M) - np.eye(3)).max() < 1e-12
+    assert np.abs(M @ lu_solve(M, np.eye(3)) - np.eye(3)).max() < 1e-12
 
 
 def test_riemann_matrix_checks():

@@ -9,7 +9,7 @@ from w9periods.errors import ParameterError, TruncationError
 from w9periods.theta import (DEFAULT_POLICY, ThetaCharacteristic,
                              TruncationPolicy, all_characteristics,
                              char_transform, modular_magnitude_check,
-                             modular_transform_point, parity, riemann_theta,
+                             modular_transform_point, parity,
                              theta_char, theta_null, truncation_radius)
 
 CH_VANISHING = ThetaCharacteristic((1, 1, 1), (1, 0, 1))
@@ -66,6 +66,23 @@ def test_truncation_radius_grows_with_precision():
         truncation_radius(-1.0, 2, DEFAULT_POLICY)
 
 
+def test_policy_rejects_non_finite_tail_tol():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            TruncationPolicy(tail_tol=bad)
+
+
+def test_theta_rejects_non_finite_input():
+    z = np.zeros(3)
+    for bad in (complex(0, math.nan), complex(math.nan, 0), complex(0, math.inf)):
+        Z = ZHAT1.copy()
+        Z[1, 1] += bad
+        with pytest.raises(ParameterError, match="finite"):
+            theta_char(CH_VANISHING, z, Z)
+    with pytest.raises(ParameterError, match="finite"):
+        theta_char(CH_VANISHING, [0.0, math.nan, 0.0], ZHAT1)
+
+
 def test_theta_against_brute_force_sum():
     rng = np.random.default_rng(10)
     for g in (1, 2, 3):
@@ -80,7 +97,7 @@ def test_theta_against_brute_force_sum():
 
 def test_plain_theta_large_imaginary_part():
     # dominant correction to 1 comes from the six |k| = 1 lattice points
-    val = riemann_theta(np.zeros(3), 10j * np.eye(3))
+    val = theta_char(CH_ZERO3, np.zeros(3), 10j * np.eye(3))
     expected = 1.0 + 6.0 * math.exp(-10 * math.pi)
     assert abs(val - expected) < 1e-14
 

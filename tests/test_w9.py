@@ -80,6 +80,8 @@ def test_curve_pu_fixture():
         w9.curve_Pu(0)
     with pytest.raises(ParameterError):
         w9.curve_Pu(-9)
+    with pytest.raises(ParameterError):
+        w9.curve_Pu(math.inf)
 
 
 def test_curve_pu_roots_real_iff_below_minus9():
@@ -254,3 +256,5 @@ def test_silhol_order4_period():
         assert np.linalg.eigvalsh(Z.imag).min() > 0
     with pytest.raises(ParameterError):
         w9.silhol_order4_period(0.5)
+    with pytest.raises(ParameterError):
+        w9.silhol_order4_period(math.inf)
