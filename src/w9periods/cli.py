@@ -141,24 +141,24 @@ def decode_matrix(data) -> np.ndarray:
 
 def matrix_csv(M: np.ndarray) -> str:
     lines = ["row,col,re,im"]
-    for i, row in enumerate(M):
+    for i, row in enumerate(M.tolist()):  # Python floats: plain repr
         for j, v in enumerate(row):
             lines.append(f"{i},{j},{v.real!r},{v.imag!r}")
     return "\n".join(lines) + "\n"
 
 
 def emit(args, payload: dict, csv_text: str | None = None) -> None:
-    if args.format == "csv":
-        if csv_text is None:
-            raise UsageError("this command has no CSV form; use --format json")
-        out = csv_text
-    else:
-        out = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if args.out:
+    """Write csv_text for --format csv (checked in main), else payload as JSON."""
+    out = (csv_text if args.format == "csv"
+           else json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    if not args.out:
+        sys.stdout.write(out)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(out)
-    else:
-        sys.stdout.write(out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +373,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Prepend defaults from a flat key=value config file, if given."""
-    if "--config" not in argv:
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    path = known.config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2:]
     extra = []
     try:
         with open(path) as fh:
@@ -423,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", default=None)
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--basis", choices=tuple(BASES), default="genus2_w9")
-    p.set_defaults(func=cmd_periods)
+    p.set_defaults(func=cmd_periods, csv=True)
 
     p = sub.add_parser("theta", parents=[common], help="theta constant with a characteristic")
     p.add_argument("--char", required=True)
@@ -434,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="t_start", required=True)
     p.add_argument("--to", dest="t_end", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=cmd_trace)
+    p.set_defaults(func=cmd_trace, csv=True)
 
     p = sub.add_parser("verify", parents=[common], help="end-to-end family checks at s")
     p.add_argument("--s", default=None)
@@ -454,6 +453,8 @@ def main(argv=None) -> int:
         argv = _apply_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
+        if args.format == "csv" and not getattr(args, "csv", False):
+            raise UsageError(f"{args.command} has no CSV form; use --format json")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -239,13 +239,6 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath, ks,
     return integrate_levels(estimate, quad)
 
 
-def _approx_index(values, target, tol=1e-9):
-    for i, v in enumerate(values):
-        if abs(v - target) <= tol:
-            return i
-    return None
-
-
 def build_cycles(curve: HyperellipticCurve, layout: str) -> CyclePlan:
     """Arcs and symplectic basis rows for one of the supported layouts."""
     pts = list(curve.branch_points)
@@ -266,7 +259,7 @@ def build_cycles(curve: HyperellipticCurve, layout: str) -> CyclePlan:
     if layout == LAYOUT_COVER:
         if len(pts) != 8:
             raise LayoutError("cover layout needs 8 branch points")
-        if _approx_index(pts, 1j, 1e-6) is None or _approx_index(pts, -1j, 1e-6) is None:
+        if not all(any(abs(p - v) <= 1e-6 for p in pts) for v in (1j, -1j)):
             raise LayoutError("cover layout needs branch points at +i and -i")
         reals = sorted(p.real for p in pts if abs(p.imag) < 1e-9)
         if len(reals) != 6 or reals[0] >= 0 or reals[3] <= 0:
@@ -316,16 +309,11 @@ def period_matrices(curve: HyperellipticCurve, plan: CyclePlan,
     if curve.genus != g:
         raise LayoutError(f"curve genus {curve.genus} != plan genus {g}")
     ks = range(1, g + 1)
-    integrals = {i: arc_integrals(curve, plan.arcs[i], ks, quad)
-                 for i in plan.used_arcs()}
-    def assemble(rows):
-        M = np.zeros((g, g), dtype=complex)
-        for j, row in enumerate(rows):
-            for i, coef in enumerate(row):
-                if coef != 0:
-                    M[j] += coef * integrals[i]
-        return M
-    return PeriodPair(assemble(plan.alpha_rows), assemble(plan.beta_rows))
+    integrals = np.zeros((len(plan.arcs), g), dtype=complex)
+    for i in plan.used_arcs():
+        integrals[i] = arc_integrals(curve, plan.arcs[i], ks, quad)
+    return PeriodPair(np.array(plan.alpha_rows) @ integrals,
+                      np.array(plan.beta_rows) @ integrals)
 
 
 def period_matrix(curve: HyperellipticCurve, plan: CyclePlan,

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, ParameterError, SingularMatrixError
 
 SYM_TOL = 1e-10
 
-# Relative pivot threshold below which a matrix is declared singular.
-_PIVOT_RATIO = 1e-13
+# Condition number (2-norm) at or above which a matrix is declared singular.
+_MAX_COND = 1e13
 
 
 def _as_square(Z) -> np.ndarray:
@@ -25,39 +25,18 @@ def _as_square(Z) -> np.ndarray:
 
 
 def lu_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve M X = B by LU with partial pivoting.
+    """Solve M X = B by LAPACK's LU with partial pivoting; a 1-D B gives a vector.
 
-    Raises SingularMatrixError when a pivot falls below
-    1e-13 times the max-norm of M.
+    Raises ParameterError when M or B holds inf or NaN, and SingularMatrixError
+    when the 2-norm condition number of M is not below 1e13.
     """
     M = _as_square(M)
-    n = M.shape[0]
     B = np.asarray(B, dtype=complex)
-    vec = B.ndim == 1
-    X = B.reshape(n, -1).astype(complex).copy()
-    A = M.copy()
-    scale = max(np.abs(A).max(), 1e-300)
-    perm = np.arange(n)
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(A[col:, col])))
-        if np.abs(A[p, col]) < _PIVOT_RATIO * scale:
-            raise SingularMatrixError(
-                f"pivot {np.abs(A[p, col]):.3e} below threshold "
-                f"{_PIVOT_RATIO * scale:.3e}"
-            )
-        if p != col:
-            A[[col, p]] = A[[p, col]]
-            X[[col, p]] = X[[p, col]]
-            perm[[col, p]] = perm[[p, col]]
-        for row in range(col + 1, n):
-            f = A[row, col] / A[col, col]
-            A[row, col:] -= f * A[col, col:]
-            X[row] -= f * X[col]
-    for col in range(n - 1, -1, -1):
-        X[col] /= A[col, col]
-        for row in range(col):
-            X[row] -= A[row, col] * X[col]
-    return X[:, 0] if vec else X
+    if not (np.isfinite(M).all() and np.isfinite(B).all()):
+        raise ParameterError("lu_solve needs finite M and B")
+    if not (cond := np.linalg.cond(M)) < _MAX_COND:
+        raise SingularMatrixError(f"condition number {cond:.3e} not below 1e13")
+    return np.linalg.solve(M, B)
 
 
 def min_eig_im(Z) -> float:
@@ -117,7 +96,8 @@ def blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 def siegel_action(M, Z) -> np.ndarray:
     """Apply M = [[a, b], [c, d]] to Z: M(Z) = (aZ + b)(cZ + d)^-1.
 
-    Raises SingularMatrixError when cZ + d is numerically singular.
+    Raises SingularMatrixError when cZ + d is numerically singular, that is
+    when its condition number is not below 1e13 (see lu_solve).
     """
     Z = _as_square(Z)
     a, b, c, d = blocks(np.asarray(M, dtype=complex))

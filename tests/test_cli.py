@@ -8,7 +8,7 @@ import pytest
 
 from conftest import Z1, ZHAT1
 import w9periods
-from w9periods import cli, geodesic
+from w9periods import cli, geodesic, periods
 from w9periods.errors import TruncationError
 
 SQRT3 = math.sqrt(3.0)
@@ -85,6 +85,32 @@ def test_periods_usage_errors(capsys):
     code, _, _ = run(capsys, "trace", "--from", "1", "--to", "1", "--steps", "1",
                      "--root-tol", "1e-9")
     assert code == 1
+
+
+def test_periods_unwritable_out(capsys, tmp_path):
+    code, out, err = run(capsys, "periods", "--s", "0.2",
+                         "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 1 and out == "" and "cannot write" in err
+
+
+def test_periods_csv_cells_are_plain_floats(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "periods", "--lambda", "2")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "row,col,re,im" and len(lines) == 5
+    Z = np.zeros((2, 2), dtype=complex)
+    for line in lines[1:]:
+        i, j, re, im = line.split(",")
+        Z[int(i), int(j)] = complex(float(re), float(im))
+    assert np.abs(Z - 1j * np.array([[5 / 3, -4 / 3], [-4 / 3, 5 / 3]])).max() < 1e-12
+
+
+def test_csv_refused_before_any_work(capsys, monkeypatch):
+    def period_matrix(*args, **kwargs):
+        raise AssertionError("verify ran before --format csv was refused")
+    monkeypatch.setattr(periods, "period_matrix", period_matrix)
+    code, out, err = run(capsys, "verify", "--grid", "5", "--format", "csv")
+    assert code == 1 and out == "" and "no CSV form" in err
 
 
 def test_periods_numerical_error_exit_code(capsys):
@@ -288,6 +314,19 @@ def test_config_file(capsys, tmp_path):
     code, out, _ = run(capsys, "--config", str(cfg), "classify", "--s", "0.1")
     assert code == 0
     assert json.loads(out)["satisfied"] == []
+
+
+def test_config_file_equals_form(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quad-tol=1e-9\n")
+    code, out, _ = run(capsys, f"--config={cfg}", "periods", "--s", "0.2")
+    assert code == 0
+    assert json.loads(out)["metadata"]["quad_tol"] == 1e-9
+    # the command line wins over the file, --config may come last
+    code, out, _ = run(capsys, "periods", "--u", "-18", "--quad-tol", "1e-10",
+                       "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["metadata"]["quad_tol"] == 1e-10
 
 
 def test_determinism(capsys):

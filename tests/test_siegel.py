@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import Z1, ZHAT1, random_riemann_matrix, random_symplectic
-from w9periods.errors import DimensionError, SingularMatrixError
+from w9periods.errors import (DimensionError, ParameterError,
+                              SingularMatrixError)
 from w9periods.siegel import (base_change, blocks, is_riemann_matrix,
                               lu_solve, min_eig_im, siegel_action,
                               standard_j, symmetry_residual, symplectic_check)
@@ -30,6 +31,18 @@ def test_lu_solve_singular():
     M = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(SingularMatrixError):
         lu_solve(M, np.eye(2, dtype=complex))
+    # condition number 1e14, above the 1e13 bound
+    with pytest.raises(SingularMatrixError):
+        lu_solve(np.diag([1.0, 1e-14]), np.eye(2))
+    # a small pivot alone is not singular: condition number 1
+    assert np.allclose(lu_solve([[1e-14, 1.0], [1.0, 0.0]], [1.0, 2.0]),
+                       [2.0, 1.0])
+    # inf or NaN input is a parameter error, not a NaN result
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            lu_solve([[1.0, 0.0], [0.0, bad]], np.eye(2))
+        with pytest.raises(ParameterError):
+            lu_solve(np.eye(2), [1.0, bad])
 
 
 def test_inv_roundtrip():
