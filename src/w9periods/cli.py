@@ -14,13 +14,14 @@ import ast
 import json
 import math
 import operator
+import os
 import re
 import sys
 
 import numpy as np
 
 from . import __version__, geodesic, periods, w9
-from .errors import ParameterError, W9Error
+from .errors import W9Error
 from .quadrature import QuadConfig
 from .siegel import min_eig_im
 from .theta import (DEFAULT_POLICY, ThetaCharacteristic, parity, theta_char,
@@ -165,10 +166,6 @@ def emit(args, payload: dict, csv_text: str | None = None) -> None:
 # subcommands
 
 
-def _quad(args) -> QuadConfig:
-    return QuadConfig(tol=args.quad_tol)
-
-
 def _meta(args, *applied: str) -> dict:
     """The settings the command applied, named in `applied`, and the version."""
     return {**{name: getattr(args, name) for name in applied},
@@ -208,7 +205,8 @@ def cmd_periods(args) -> int:
         raise UsageError(f"{args.basis} basis needs exactly {count} roots")
     if args.basis == "cover":
         curve = w9.double_cover(curve)
-    M = periods.period_matrix(curve, periods.build_cycles(curve, layout), _quad(args))
+    M = periods.period_matrix(curve, periods.build_cycles(curve, layout),
+                              QuadConfig(tol=args.quad_tol))
     # the cover also emits the base matrix it determines, first
     payload = ({"Z": encode_value(w9.base_from_cover(M)), "Zhat": encode_value(M)}
                if args.basis == "cover" else {"Z": encode_value(M)})
@@ -285,7 +283,6 @@ def cmd_trace(args) -> int:
 
 
 def _verify_one(s: float, args) -> tuple[list[dict], bool]:
-    quad = _quad(args)
     tol = 1e-6
     checks = []
 
@@ -294,7 +291,8 @@ def _verify_one(s: float, args) -> tuple[list[dict], bool]:
         checks.append({"s": s, "check": name, "residual": residual, "pass": ok})
         return ok
 
-    curve = w9.curve_Qs(s)
+    curve = w9.curve_Qs(s)  # first, so an s out of range is the error reported
+    quad = QuadConfig(tol=args.quad_tol)
     cover = w9.double_cover(curve)
     Zhat = periods.period_matrix(
         cover, periods.build_cycles(cover, periods.LAYOUT_COVER), quad)
@@ -324,8 +322,6 @@ def cmd_verify(args) -> int:
         s_values = list(np.linspace(0.05, 0.5, args.grid))
     all_checks, ok = [], True
     for s in s_values:
-        if not 0.0 < s < w9.SQRT3 / 3.0:
-            raise ParameterError(f"s = {s} outside (0, sqrt(3)/3)")
         checks, good = _verify_one(float(s), args)
         all_checks.extend(checks)
         ok = ok and good
@@ -455,6 +451,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.format == "csv" and not getattr(args, "csv", False):
             raise UsageError(f"{args.command} has no CSV form; use --format json")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise UsageError(f"cannot write {args.out!r}: no such directory")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -42,4 +42,5 @@ class DegeneracyError(W9Error):
 
 
 class BracketError(W9Error):
-    """No sign change was found in the root-scan window."""
+    """No longer raised by the library, whose solve_y has no root scan; kept
+    because bench/selftest.py imports it."""

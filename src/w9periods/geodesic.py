@@ -181,15 +181,14 @@ def trace(t_start: float, t_end: float, steps: int) -> list[GeodesicPoint]:
     return points
 
 
-def extract_ty_from_cover(Zhat, shape_tol: float = 1e-9,
-                          reality_tol: float = 1e-7) -> tuple[float, float]:
+def extract_ty_from_cover(Zhat, shape_tol: float = 1e-9) -> tuple[float, float]:
     """(t, y) read off a cover period matrix: y = Im z1, t = Im z13 + y/2.
 
     The matrix must match the cover pattern and have purely imaginary
-    z1, z13 (the M-curve reality condition).
+    z1, z13 (the M-curve reality condition): real parts above 1e-7 are refused.
     """
     shape = cover_shape_extract(Zhat, shape_tol)
-    if abs(shape.z1.real) > reality_tol or abs(shape.z13.real) > reality_tol:
+    if abs(shape.z1.real) > 1e-7 or abs(shape.z13.real) > 1e-7:
         raise ParameterError(
             "z1 or z13 has a real part: matrix is not on the real locus"
         )

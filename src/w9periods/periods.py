@@ -60,17 +60,14 @@ class HyperellipticCurve:
         if sep <= MIN_ROOT_SEPARATION:
             raise DegeneracyError(f"branch points {pts[i]} and {pts[j]} coincide")
         # computed once per curve: every arc's clearance check reads it
-        object.__setattr__(self, "_min_separation", sep)
+        object.__setattr__(self, "_clearance", CLEARANCE_FACTOR * sep)
 
     @property
     def genus(self) -> int:
         return (len(self.branch_points) - 1) // 2
 
-    def min_separation(self) -> float:
-        return self._min_separation
-
     def clearance(self) -> float:
-        return CLEARANCE_FACTOR * self._min_separation
+        return self._clearance
 
 
 @dataclass(frozen=True)

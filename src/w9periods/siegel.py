@@ -27,11 +27,13 @@ def _as_square(Z) -> np.ndarray:
 def lu_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve M X = B by LAPACK's LU with partial pivoting; a 1-D B gives a vector.
 
-    Raises ParameterError when M or B holds inf or NaN, and SingularMatrixError
-    when the 2-norm condition number of M is not below 1e13.
+    Raises DimensionError when B's rows do not match M, ParameterError when M
+    or B holds inf or NaN, and SingularMatrixError when cond_2(M) is not below 1e13.
     """
     M = _as_square(M)
     B = np.asarray(B, dtype=complex)
+    if B.ndim not in (1, 2) or B.shape[0] != M.shape[0]:
+        raise DimensionError(f"B has shape {B.shape}, M has shape {M.shape}")
     if not (np.isfinite(M).all() and np.isfinite(B).all()):
         raise ParameterError("lu_solve needs finite M and B")
     if not (cond := np.linalg.cond(M)) < _MAX_COND:
@@ -96,10 +98,12 @@ def blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 def siegel_action(M, Z) -> np.ndarray:
     """Apply M = [[a, b], [c, d]] to Z: M(Z) = (aZ + b)(cZ + d)^-1.
 
-    Raises SingularMatrixError when cZ + d is numerically singular, that is
-    when its condition number is not below 1e13 (see lu_solve).
+    Raises DimensionError unless M is 2g x 2g for a g x g Z, and
+    SingularMatrixError when cZ + d is numerically singular (see lu_solve).
     """
     Z = _as_square(Z)
+    if np.shape(M) != (2 * len(Z),) * 2:
+        raise DimensionError(f"M has shape {np.shape(M)}, Z has shape {Z.shape}")
     a, b, c, d = blocks(np.asarray(M, dtype=complex))
     num = a @ Z + b
     den = c @ Z + d

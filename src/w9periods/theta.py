@@ -162,13 +162,13 @@ def modular_transform_point(M, z, Z):
     """The symplectic action on (z, Z): (t(cZ+d)^-1 z, (aZ+b)(cZ+d)^-1)."""
     Z = np.asarray(Z, dtype=complex)
     z = np.asarray(z, dtype=complex).reshape(-1)
+    Z2 = siegel_action(M, Z)  # checks the shapes of M and Z
     a, b, c, d = blocks(np.asarray(M, dtype=complex))
     den = c @ Z + d
-    return lu_solve(den.T, z), siegel_action(M, Z)
+    return lu_solve(den.T, z), Z2
 
 
-def modular_magnitude_check(M, ch: ThetaCharacteristic, z, Z,
-                            policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def modular_magnitude_check(M, ch: ThetaCharacteristic, z, Z) -> float:
     """Magnitude-level residual of the modular transformation formula.
 
     Returns | |theta[ch'](M(z,Z))| - |det(cZ+d)|^(1/2) * |exp(pi*i*t(z)(cZ+d)^-1 c z)|
@@ -178,11 +178,11 @@ def modular_magnitude_check(M, ch: ThetaCharacteristic, z, Z,
     Z = np.asarray(Z, dtype=complex)
     z = np.asarray(z, dtype=complex).reshape(-1)
     ch2 = char_transform(M, ch)
+    z2, Z2 = modular_transform_point(M, z, Z)  # checks the shapes first
     a, b, c, d = blocks(np.asarray(M, dtype=complex))
     den = c @ Z + d
-    z2, Z2 = modular_transform_point(M, z, Z)
-    lhs = abs(theta_char(ch2, z2, Z2, policy))
+    lhs = abs(theta_char(ch2, z2, Z2))
     factor = math.sqrt(abs(np.linalg.det(den)))
     phase = abs(np.exp(1j * math.pi * (z @ lu_solve(den, c @ z))))
-    rhs = factor * phase * abs(theta_char(ch, z, Z, policy))
+    rhs = factor * phase * abs(theta_char(ch, z, Z))
     return abs(lhs - rhs)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DegeneracyError, LayoutError, ParameterError,
                      ShapeMismatchError)
 from .periods import HyperellipticCurve
-from .siegel import SYM_TOL, is_riemann_matrix
+from .siegel import is_riemann_matrix
 from .theta import ThetaCharacteristic, theta_char
 
 SQRT3 = math.sqrt(3.0)
@@ -68,31 +68,11 @@ def u_dual(u: float) -> float:
     return -9.0 * u / (u + 9.0)
 
 
-@dataclass(frozen=True)
-class W9Param:
-    """Family parameter s in (0, sqrt(3)/3) with its derived quantities."""
-
-    s: float
-
-    def __post_init__(self):
-        if not 0.0 < self.s < SQRT3 / 3.0:
-            raise ParameterError(f"s = {self.s} outside (0, sqrt(3)/3)")
-
-    @property
-    def a(self) -> float:
-        return self.s**2
-
-    @property
-    def b(self) -> float:
-        return f3(f3(self.s)).real ** 2
-
-    @property
-    def c(self) -> float:
-        return f3(self.s).real ** 2
-
-    @property
-    def u(self) -> float:
-        return g_of_s(self.s)
+def _branch_abc(s: float) -> tuple[float, float, float]:
+    """(a(s), b(s), c(s)) = (s^2, f3(f3(s))^2, f3(s)^2) for s in (0, sqrt(3)/3)."""
+    if not 0.0 < s < SQRT3 / 3.0:
+        raise ParameterError(f"s = {s} outside (0, sqrt(3)/3)")
+    return s * s, f3(f3(s)).real ** 2, f3(s).real ** 2
 
 
 def _polish_root(coeffs: np.ndarray, x: complex) -> complex:
@@ -125,9 +105,8 @@ def curve_Pu(u) -> HyperellipticCurve:
 
 def curve_Qs(s: float) -> HyperellipticCurve:
     """The quintic curve y^2 = x (x + 1) (x - a(s)) (x - b(s)) (x - c(s))."""
-    p = W9Param(s)
-    return HyperellipticCurve((-1.0 + 0j, 0.0 + 0j,
-                               complex(p.a), complex(p.b), complex(p.c)))
+    a, b, c = _branch_abc(s)
+    return HyperellipticCurve((-1.0 + 0j, 0.0 + 0j, complex(a), complex(b), complex(c)))
 
 
 def double_cover(curve: HyperellipticCurve) -> HyperellipticCurve:
@@ -205,7 +184,7 @@ def base_from_cover(Zhat) -> np.ndarray:
         [2.0 * Zhat[1, 1], 2.0 * Zhat[0, 1]],
         [2.0 * Zhat[0, 1], Zhat[0, 0] + Zhat[0, 2]],
     ])
-    if not is_riemann_matrix(Z, SYM_TOL):
+    if not is_riemann_matrix(Z):
         raise ShapeMismatchError("derived 2x2 matrix is not a Riemann matrix")
     return Z
 
@@ -220,8 +199,7 @@ class AutomorphismReport:
     matched_conditions: tuple[tuple[str, float], ...]
 
 
-def cirre_classify(a: float, b: float, c: float,
-                   tol: float = EXACT_TOL) -> AutomorphismReport:
+def cirre_classify(a: float, b: float, c: float) -> AutomorphismReport:
     """Real and complex automorphism groups from branch-point coincidences.
 
     Evaluates the residuals of a = bc, a = (b - c)/(c - 1), a = 1 + c - c/b
@@ -229,8 +207,6 @@ def cirre_classify(a: float, b: float, c: float,
     complex groups coincide, the count of the first three selects the
     case (0: generic, 1: one extra involution, >=2: the order-6 locus).
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
     if not 0.0 < a < b < c < 1.0:
         raise ParameterError(f"need 0 < a < b < c < 1, got ({a}, {b}, {c})")
     residuals = (
@@ -239,9 +215,9 @@ def cirre_classify(a: float, b: float, c: float,
         ("a=1+c-c/b", abs(a - (1.0 + c - c / b))),
         ("a=b(c-1)/(b-1)", abs(a - b * (c - 1.0) / (b - 1.0))),
     )
-    matched = tuple((name, r) for name, r in residuals if r < tol)
-    held = sum(1 for name, r in residuals[:3] if r < tol)
-    real_eq_complex = residuals[3][1] >= tol
+    matched = tuple((name, r) for name, r in residuals if r < EXACT_TOL)
+    held = sum(1 for name, r in residuals[:3] if r < EXACT_TOL)
+    real_eq_complex = residuals[3][1] >= EXACT_TOL
     if real_eq_complex:
         group = "Z2" if held == 0 else ("D2" if held == 1 else "D6")
         return AutomorphismReport(group, group, matched)
@@ -267,8 +243,7 @@ def involution_residuals(s: float) -> dict[str, float]:
     A: a = b - 1 + b/c,  B: a = bc / (1 + b + c),
     C: a = (c - b) / (1 + b),  D: a = b / (1 - b + c).
     """
-    p = W9Param(s)
-    a, b, c = p.a, p.b, p.c
+    a, b, c = _branch_abc(s)
     return {
         "A": abs(a - (b - 1.0 + b / c)),
         "B": abs(a - b * c / (1.0 + b + c)),
@@ -277,12 +252,10 @@ def involution_residuals(s: float) -> dict[str, float]:
     }
 
 
-def w9_involution_conditions(s: float, tol: float = EXACT_TOL):
-    """Labels of the satisfied involution conditions, with residuals."""
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    res = involution_residuals(s)
-    return [(name, r) for name, r in res.items() if r < tol]
+def w9_involution_conditions(s: float):
+    """Labels and residuals of the involution conditions below EXACT_TOL."""
+    return [(name, r) for name, r in involution_residuals(s).items()
+            if r < EXACT_TOL]
 
 
 def theta_membership_check(Zhat, shape_tol: float = EXACT_TOL) -> float:

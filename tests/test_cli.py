@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +90,16 @@ def test_periods_usage_errors(capsys):
     assert code == 1
 
 
-def test_periods_unwritable_out(capsys, tmp_path):
+def test_periods_unwritable_out(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "periods", "--s", "0.2",
+                         "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 1 and out == "" and "cannot write" in err
+
+    # an --out in a missing directory is refused before any work
+    def period_matrix(*args, **kwargs):
+        raise AssertionError("verify ran before --out was refused")
+    monkeypatch.setattr(periods, "period_matrix", period_matrix)
+    code, out, err = run(capsys, "verify", "--grid", "5",
                          "--out", str(tmp_path / "missing" / "x.json"))
     assert code == 1 and out == "" and "cannot write" in err
 
@@ -275,7 +286,7 @@ def test_verify_grid(capsys):
 
 def test_verify_out_of_range(capsys):
     code, _, err = run(capsys, "verify", "--s", "0.9")
-    assert code == 2
+    assert code == 2 and "outside (0, sqrt(3)/3)" in err
 
 
 def test_classify_abc(capsys):
@@ -292,9 +303,22 @@ def test_classify_s(capsys):
     assert json.loads(out)["satisfied"] == ["A", "D"]
 
 
+def test_module_entry_point():
+    # python -m w9periods.cli: the __main__ path a shell user runs
+    src = str(README.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "w9periods.cli", "classify", "--s", "0.1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["satisfied"] == []
+
+
 def test_classify_ordering_error(capsys):
     code, _, err = run(capsys, "classify", "--abc", "0.5,0.4,0.7")
     assert code == 2
+    code, _, err = run(capsys, "classify", "--s", "0.9")
+    assert code == 2 and "outside (0, sqrt(3)/3)" in err
 
 
 def test_json_matrix_roundtrip(capsys, tmp_path):

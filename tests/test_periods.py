@@ -8,11 +8,11 @@ from conftest import S_SQUARE, Z1, ZHAT1, agm
 from w9periods import periods, w9
 from w9periods.errors import (DegeneracyError, LayoutError, ParameterError,
                               PathError)
-from w9periods.periods import (LAYOUT_COVER, LAYOUT_ELLIPTIC, LAYOUT_GENUS2,
-                               MIN_ROOT_SEPARATION, ArcPath, HyperellipticCurve,
-                               _principal_anchor, _segment_distance, _track_signs,
-                               arc_integrals, build_cycles,
-                               period_matrices, period_matrix)
+from w9periods.periods import (CLEARANCE_FACTOR, LAYOUT_COVER, LAYOUT_ELLIPTIC,
+                               LAYOUT_GENUS2, MIN_ROOT_SEPARATION, ArcPath,
+                               HyperellipticCurve, _principal_anchor,
+                               _segment_distance, _track_signs, arc_integrals,
+                               build_cycles, period_matrices, period_matrix)
 from w9periods.quadrature import MAX_LEVEL, MIN_LEVEL, tanh_sinh_nodes
 
 SQRT3 = math.sqrt(3.0)
@@ -80,14 +80,13 @@ def test_clearance_guard():
 
 
 def test_clearance_from_stored_separation():
-    # the minimum separation is computed once, when the curve is built
+    # the clearance is computed once, when the curve is built
     curve = HyperellipticCurve((-1.0, 0.0, 0.5, 1.0, 2.0))
-    assert curve.min_separation() == 0.5
     assert curve.clearance() == 0.5e-3
     with pytest.raises(PathError, match="passes within 0.0005 of branch point 0.5"):
         arc_integrals(curve, ArcPath(0.0, 1.0), [1, 2])
     pts = cover_curve().branch_points
-    assert cover_curve().min_separation() == min(
+    assert cover_curve().clearance() == CLEARANCE_FACTOR * min(
         abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1:])
     with pytest.raises(DegeneracyError, match="branch points 1.0 and 1.0"):
         HyperellipticCurve((0.0, 1.0, 3.0, 1.0 + 1e-13))

@@ -43,6 +43,14 @@ def test_lu_solve_singular():
             lu_solve([[1.0, 0.0], [0.0, bad]], np.eye(2))
         with pytest.raises(ParameterError):
             lu_solve(np.eye(2), [1.0, bad])
+    # mismatched shapes are a dimension error, not numpy's ValueError
+    for B in (np.ones(3), np.ones((3, 2)), 1.0):
+        with pytest.raises(DimensionError):
+            lu_solve(np.eye(2), B)
+    with pytest.raises(DimensionError):
+        siegel_action(np.eye(4), 1j * np.eye(3))
+    with pytest.raises(DimensionError):
+        base_change(1j * np.eye(3), np.eye(4))
 
 
 def test_inv_roundtrip():

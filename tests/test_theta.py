@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (ZHAT1, random_riemann_matrix, random_symplectic,
                       theta_brute)
-from w9periods.errors import ParameterError, TruncationError
+from w9periods.errors import DimensionError, ParameterError, TruncationError
 from w9periods.theta import (DEFAULT_POLICY, ThetaCharacteristic,
                              TruncationPolicy, all_characteristics,
                              char_transform, modular_magnitude_check,
@@ -235,3 +235,11 @@ def test_modular_transform_point_matches_action():
     z = rng.normal(size=2) + 0j
     z2, Z2 = modular_transform_point(M, z, Z)
     assert np.abs(Z2 - siegel_action(M, Z)).max() < 1e-12
+    # mismatched shapes are a dimension error, not numpy's ValueError
+    for bad_M, bad_z, bad_Z in ((np.eye(4), np.zeros(3), 1j * np.eye(3)),
+                                (M, np.zeros(3), Z)):
+        with pytest.raises(DimensionError):
+            modular_transform_point(bad_M, bad_z, bad_Z)
+        with pytest.raises(DimensionError):
+            modular_magnitude_check(bad_M, ThetaCharacteristic((0, 0), (0, 0)),
+                                    bad_z, bad_Z)

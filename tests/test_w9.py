@@ -63,13 +63,13 @@ def test_u_dual():
 
 def test_w9param_invariants():
     for s in np.linspace(0.02, SQRT3 / 3 - 0.02, 50):
-        p = w9.W9Param(float(s))
-        assert 0 < p.a < p.b < p.c
-        assert p.u < -9
+        _, _, a, b, c = (p.real for p in w9.curve_Qs(float(s)).branch_points)
+        assert 0 < a < b < c
+        assert w9.g_of_s(float(s)) < -9
+    with pytest.raises(ParameterError, match=r"outside \(0, sqrt\(3\)/3\)"):
+        w9.curve_Qs(0.9)
     with pytest.raises(ParameterError):
-        w9.W9Param(0.9)
-    with pytest.raises(ParameterError):
-        w9.W9Param(-0.1)
+        w9.curve_Qs(-0.1)
 
 
 def test_curve_pu_fixture():
@@ -180,8 +180,6 @@ def test_cirre_classify_cases():
     assert (r.real_group, r.complex_group) == ("Z2", "Z2")
     with pytest.raises(ParameterError):
         w9.cirre_classify(0.5, 0.4, 0.7)
-    with pytest.raises(ParameterError):
-        w9.cirre_classify(0.2, 0.5, 0.7, tol=0)
 
 
 def test_cirre_real_complex_coincidence():
