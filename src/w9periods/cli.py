@@ -125,11 +125,7 @@ def parse_matrix(text: str, prefer_g: int | None = None) -> np.ndarray:
 def encode_value(v):
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if isinstance(v, np.ndarray):
-        return [[encode_value(complex(x)) for x in row] for row in v]
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
+    return [[encode_value(complex(x)) for x in row] for row in v]
 
 
 def decode_matrix(data) -> np.ndarray:
@@ -190,15 +186,9 @@ BASES = {"genus2_w9": (5, periods.LAYOUT_GENUS2),
 
 
 def cmd_periods(args) -> int:
-    forms = [f for f in ("roots", "s", "u", "lam") if getattr(args, f) is not None]
+    forms = [f for f in ("roots", "s", "u") if getattr(args, f) is not None]
     if len(forms) != 1:
-        raise UsageError("give exactly one of --roots, --s, --u, --lambda")
-    if args.lam is not None:
-        if args.basis != "genus2_w9":
-            raise UsageError("--lambda only defines a genus2_w9 period matrix")
-        Z = w9.silhol_order4_period(parse_real(args.lam, "--lambda"))
-        emit(args, {"Z": encode_value(Z), "metadata": _meta(args)}, matrix_csv(Z))
-        return 0
+        raise UsageError("give exactly one of --roots, --s, --u")
     curve = _base_curve_from_args(args)
     count, layout = BASES[args.basis]
     if len(curve.branch_points) != count:
@@ -416,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roots", default=None)
     p.add_argument("--s", default=None)
     p.add_argument("--u", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--basis", choices=tuple(BASES), default="genus2_w9")
     p.set_defaults(func=cmd_periods, csv=True)
 

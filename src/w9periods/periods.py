@@ -183,9 +183,9 @@ def _moments(x: np.ndarray, f: np.ndarray, kmax: int) -> np.ndarray:
     return np.array(sums)
 
 
-def arc_integrals(curve: HyperellipticCurve, path: ArcPath, ks,
+def arc_integrals(curve: HyperellipticCurve, path: ArcPath,
                   quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """Integrals of x^(k-1) dx / sqrt(P) along the arc, one entry per k.
+    """Integrals of x^(k-1) dx / sqrt(P) along the arc for k = 1..genus.
 
     The tanh-sinh levels nest (see quadrature), so sqrt(P) is evaluated
     once per node: the first estimate samples level MIN_LEVEL + 1 and
@@ -193,15 +193,8 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath, ks,
     only its new odd nodes, gives each the sign continuous with its left
     neighbour, and adds their sum to half the previous one.
     """
-    ks = list(ks)
-    if not ks:
-        raise ParameterError("no k given")
-    for k in ks:
-        if k not in range(1, curve.genus + 1):
-            raise ParameterError(f"k={k} outside 1..{curve.genus}")
     _check_clearance(curve, path)
-    pick = np.array(ks, dtype=int) - 1
-    kmax = int(pick.max()) + 1
+    kmax = curve.genus
     half = 0.5 * (path.end - path.start)
     mid = 0.5 * (path.end + path.start)
     # sq: tracked sqrt(P) at every node of the deepest level sampled;
@@ -231,7 +224,7 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath, ks,
             merged[1::2] = new
             sq = merged
             acc = 0.5 * acc + _moments(x, w[1::2] / new, kmax)
-        return half * acc[pick]
+        return half * acc
 
     return integrate_levels(estimate, quad)
 
@@ -305,10 +298,9 @@ def period_matrices(curve: HyperellipticCurve, plan: CyclePlan,
     g = plan.genus
     if curve.genus != g:
         raise LayoutError(f"curve genus {curve.genus} != plan genus {g}")
-    ks = range(1, g + 1)
     integrals = np.zeros((len(plan.arcs), g), dtype=complex)
     for i in plan.used_arcs():
-        integrals[i] = arc_integrals(curve, plan.arcs[i], ks, quad)
+        integrals[i] = arc_integrals(curve, plan.arcs[i], quad)
     return PeriodPair(np.array(plan.alpha_rows) @ integrals,
                       np.array(plan.beta_rows) @ integrals)
 

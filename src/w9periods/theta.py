@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, ParameterError, TruncationError
-from .siegel import blocks, lu_solve, min_eig_im, siegel_action, symplectic_check
+from .siegel import (blocks, lu_solve, min_eig_im, siegel_action,
+                     symmetry_residual, symplectic_check)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def truncation_radius(lam: float, g: int, policy: TruncationPolicy,
         raise TruncationError("Im(Z) is not positive definite")
     b = float(im_z_norm)
     R = 2
-    for _ in range(200):
+    while True:
         count = g * math.log(2 * R + 1)
         arg = (count - math.log(policy.tail_tol) + math.pi * g * b * b / lam)
         R_new = math.ceil(math.sqrt(g) * b / lam + math.sqrt(arg / (math.pi * lam))) + 2
@@ -94,7 +95,6 @@ def truncation_radius(lam: float, g: int, policy: TruncationPolicy,
                 f"required radius {R} exceeds MAX_RADIUS = {MAX_RADIUS} "
                 f"(Im(Z) too small: lambda_min = {lam:.3e})"
             )
-    return R
 
 
 @lru_cache(maxsize=32)
@@ -106,7 +106,11 @@ def _cube(g: int, R: int) -> np.ndarray:
 
 def theta_char(ch: ThetaCharacteristic, z, Z,
                policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Theta with characteristic ch at argument z and period matrix Z."""
+    """Theta with characteristic ch at argument z and period matrix Z.
+
+    The sum reads only (Z + Z^T)/2, so Z must be symmetric: ParameterError
+    if max |Z - Z^T| > 1e-6 * max(1, max |Z_ij|).
+    """
     Z = np.asarray(Z, dtype=complex)
     g = ch.g
     if Z.shape != (g, g):
@@ -116,12 +120,13 @@ def theta_char(ch: ThetaCharacteristic, z, Z,
         raise DimensionError(f"z has length {z.shape[0]}, expected {g}")
     if not (np.isfinite(Z).all() and np.isfinite(z).all()):
         raise ParameterError("Z and z must be finite")
+    if (asym := symmetry_residual(Z)) > 1e-6 * max(1.0, np.abs(Z).max()):
+        raise ParameterError(f"Z is not symmetric: max |Z - Z^T| = {asym:.3e}")
     lam = min_eig_im(Z)
     radius = truncation_radius(lam, g, policy, float(np.abs(z.imag).max()))
     v = _cube(g, radius) + np.asarray(ch.m, dtype=float) / 2.0
     w = z + np.asarray(ch.n, dtype=float) / 2.0
-    quad = ((v @ Z) * v).sum(axis=1)
-    expo = 1j * math.pi * quad + 2j * math.pi * (v @ w)
+    expo = 1j * math.pi * ((v @ Z + 2.0 * w) * v).sum(axis=1)
     return complex(np.exp(expo).sum())
 
 

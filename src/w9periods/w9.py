@@ -104,7 +104,10 @@ def curve_Pu(u) -> HyperellipticCurve:
 
 
 def curve_Qs(s: float) -> HyperellipticCurve:
-    """The quintic curve y^2 = x (x + 1) (x - a(s)) (x - b(s)) (x - c(s))."""
+    """The quintic curve y^2 = x (x + 1) (x - a(s)) (x - b(s)) (x - c(s)).
+
+    DegeneracyError for s <= 1e-6, where a = s^2 is within 1e-12 of 0.
+    """
     a, b, c = _branch_abc(s)
     return HyperellipticCurve((-1.0 + 0j, 0.0 + 0j, complex(a), complex(b), complex(c)))
 
@@ -266,16 +269,3 @@ def theta_membership_check(Zhat, shape_tol: float = EXACT_TOL) -> float:
     """
     cover_shape_extract(Zhat, shape_tol)
     return abs(theta_char(MEMBERSHIP_CHAR, np.zeros(3), Zhat))
-
-
-def silhol_order4_period(lam: float) -> np.ndarray:
-    """Period matrix of the order-4 L-shaped surface with side length lam.
-
-    i * [[(2 lam^2 - 2 lam + 1)/(2 lam - 1), -2 lam (lam - 1)/(2 lam - 1)],
-         [same off-diagonal, same diagonal]].
-    """
-    if not 0 < 2.0 * lam - 1.0 < math.inf:
-        raise ParameterError("need finite lam > 1/2 for a positive definite matrix")
-    d = (2.0 * lam * lam - 2.0 * lam + 1.0) / (2.0 * lam - 1.0)
-    o = -2.0 * lam * (lam - 1.0) / (2.0 * lam - 1.0)
-    return 1j * np.array([[d, o], [o, d]])

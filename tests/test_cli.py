@@ -1,6 +1,10 @@
+import dataclasses
+import functools
+import importlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,6 +17,7 @@ from conftest import Z1, ZHAT1
 import w9periods
 from w9periods import cli, geodesic, periods
 from w9periods.errors import TruncationError
+from w9periods.quadrature import QuadConfig
 
 SQRT3 = math.sqrt(3.0)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -56,13 +61,6 @@ def test_matrix_literal_parsing():
     assert cli.main(["theta", "--char", "1;1", "--matrix", "[[i],[2]"]) == 1
 
 
-def test_periods_lambda(capsys):
-    code, out, _ = run(capsys, "periods", "--lambda", "2", "--basis", "genus2_w9")
-    assert code == 0
-    Z = as_matrix(json.loads(out)["Z"])
-    assert np.abs(Z - 1j * np.array([[5 / 3, -4 / 3], [-4 / 3, 5 / 3]])).max() < 1e-12
-
-
 def test_periods_cover_fixture(capsys, tmp_path):
     out_file = tmp_path / "zhat.json"
     code, _, _ = run(capsys, "periods", "--s", "2-sqrt(3)", "--basis", "cover",
@@ -76,7 +74,10 @@ def test_periods_cover_fixture(capsys, tmp_path):
 
 def test_periods_usage_errors(capsys):
     code, _, err = run(capsys, "periods", "--s", "0.2", "--u", "-18")
-    assert code == 1 and "exactly one" in err
+    assert code == 1 and "exactly one of --roots, --s, --u" in err
+    # the order-4 subfamily's --lambda is not an option
+    code, _, _ = run(capsys, "periods", "--lambda", "2")
+    assert code == 1
     code, _, err = run(capsys, "periods", "--roots=-1,0,1,2,3",
                        "--basis", "elliptic")
     assert code == 1 and "3 roots" in err
@@ -105,7 +106,7 @@ def test_periods_unwritable_out(capsys, tmp_path, monkeypatch):
 
 
 def test_periods_csv_cells_are_plain_floats(capsys):
-    code, out, _ = run(capsys, "--format", "csv", "periods", "--lambda", "2")
+    code, out, _ = run(capsys, "--format", "csv", "periods", "--roots=-1,0,1,2,3")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "row,col,re,im" and len(lines) == 5
@@ -113,7 +114,8 @@ def test_periods_csv_cells_are_plain_floats(capsys):
     for line in lines[1:]:
         i, j, re, im = line.split(",")
         Z[int(i), int(j)] = complex(float(re), float(im))
-    assert np.abs(Z - 1j * np.array([[5 / 3, -4 / 3], [-4 / 3, 5 / 3]])).max() < 1e-12
+    _, out, _ = run(capsys, "periods", "--roots=-1,0,1,2,3")
+    assert np.array_equal(Z, as_matrix(json.loads(out)["Z"]))
 
 
 def test_csv_refused_before_any_work(capsys, monkeypatch):
@@ -161,6 +163,12 @@ def test_theta_inline_odd(capsys):
 def test_theta_genus_mismatch(capsys):
     code, _, err = run(capsys, "theta", "--char", "11;11", "--matrix", "[[i]]")
     assert code == 1 and "does not match" in err
+
+
+def test_theta_non_symmetric_matrix(capsys):
+    code, out, err = run(capsys, "theta", "--char", "00;00",
+                         "--matrix", "[[i,0.5],[-0.5,i]]")
+    assert code == 2 and out == "" and "not symmetric" in err
 
 
 def test_theta_removed_genus_flag(capsys):
@@ -323,13 +331,15 @@ def test_classify_ordering_error(capsys):
 
 def test_json_matrix_roundtrip(capsys, tmp_path):
     out_file = tmp_path / "z.json"
-    run(capsys, "periods", "--lambda", "2", "--basis", "genus2_w9",
-        "--out", str(out_file))
+    run(capsys, "periods", "--roots=-1,0,1,2,3", "--out", str(out_file))
     code, out, _ = run(capsys, "theta", "--char", "00;00",
                        "--matrix", str(out_file))
     assert code == 0
     M = cli.parse_matrix(str(out_file), prefer_g=2)
-    assert np.abs(M - 1j * np.array([[5 / 3, -4 / 3], [-4 / 3, 5 / 3]])).max() < 1e-15
+    curve = periods.HyperellipticCurve((-1.0, 0.0, 1.0, 2.0, 3.0))
+    Z = periods.period_matrix(curve, periods.build_cycles(curve, periods.LAYOUT_GENUS2),
+                              QuadConfig(tol=1e-11))
+    assert np.array_equal(M, Z)
 
 
 def test_config_file(capsys, tmp_path):
@@ -367,6 +377,26 @@ def test_readme_examples_parse():
     # command line; parsed only, nothing runs
     section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     lines = [line for line in section.splitlines() if line.startswith("w9periods ")]
-    assert len(lines) == 13
+    assert len(lines) == 12
     for line in lines:
         cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_library_names_exist():
+    # every backticked name in a "- `w9periods.<module>`:" bullet of the
+    # README's "Library entry points" section is an attribute of that
+    # module; a dotted name is read from the package, and `tol` is the
+    # field of QuadConfig
+    section = README.read_text().split("\n## Library entry points\n", 1)[1]
+    bullets = re.findall(r"^- `w9periods\.(\w+)`:(.*?)(?=^- |\Z)",
+                         section.split("\n## ", 1)[0], re.M | re.S)
+    assert len(bullets) == 6
+    for module_name, text in bullets:
+        module = importlib.import_module(f"w9periods.{module_name}")
+        for name in re.findall(r"`([\w.]+)`", text):
+            if name == "tol":
+                assert "tol" in {f.name for f in dataclasses.fields(QuadConfig)}
+            elif "." in name:
+                functools.reduce(getattr, name.split("."), w9periods)
+            else:
+                assert hasattr(module, name), (module_name, name)

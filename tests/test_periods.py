@@ -46,7 +46,7 @@ def test_agm_oracle_complete_integral():
     # complete value pi / (sqrt(2) agm(1, 1/sqrt(2)))
     curve = elliptic_curve()
     expected = math.pi / (math.sqrt(2.0) * agm(1.0, 1.0 / math.sqrt(2.0)))
-    (val,) = arc_integrals(curve, ArcPath(0.0, 1.0), [1])
+    (val,) = arc_integrals(curve, ArcPath(0.0, 1.0))
     assert abs(abs(val) - expected) < 1e-10
     # the lemniscatic closed form agrees with the agm value
     lemn = math.gamma(0.25) ** 2 / (2.0 * math.sqrt(2.0 * math.pi))
@@ -56,27 +56,19 @@ def test_agm_oracle_complete_integral():
 def test_arc_integral_symmetry():
     # both finite arcs of the square lattice curve have equal magnitude
     curve = elliptic_curve()
-    (left,) = arc_integrals(curve, ArcPath(-1.0, 0.0), [1])
-    (right,) = arc_integrals(curve, ArcPath(0.0, 1.0), [1])
+    (left,) = arc_integrals(curve, ArcPath(-1.0, 0.0))
+    (right,) = arc_integrals(curve, ArcPath(0.0, 1.0))
     assert abs(abs(left) - abs(right)) < 1e-11
     # left arc is real, right arc is imaginary in the continuous branch
     assert abs(left.imag) < 1e-11
     assert abs(right.real) < 1e-11
 
 
-def test_arc_integrals_vector_matches_scalar():
-    curve = genus2_curve()
-    path = ArcPath(0.0, S_SQUARE**2)
-    both = arc_integrals(curve, path, [1, 2])
-    for k in (1, 2):
-        assert abs(both[k - 1] - arc_integrals(curve, path, [k])[0]) < 1e-13
-
-
 def test_clearance_guard():
     # a segment passing right through a foreign branch point
     curve = HyperellipticCurve((-1.0, 0.0, 0.5, 1.0, 2.0))
     with pytest.raises(PathError):
-        arc_integrals(curve, ArcPath(0.0, 1.0), [1])
+        arc_integrals(curve, ArcPath(0.0, 1.0))
 
 
 def test_clearance_from_stored_separation():
@@ -84,7 +76,7 @@ def test_clearance_from_stored_separation():
     curve = HyperellipticCurve((-1.0, 0.0, 0.5, 1.0, 2.0))
     assert curve.clearance() == 0.5e-3
     with pytest.raises(PathError, match="passes within 0.0005 of branch point 0.5"):
-        arc_integrals(curve, ArcPath(0.0, 1.0), [1, 2])
+        arc_integrals(curve, ArcPath(0.0, 1.0))
     pts = cover_curve().branch_points
     assert cover_curve().clearance() == CLEARANCE_FACTOR * min(
         abs(p - q) for i, p in enumerate(pts) for q in pts[i + 1:])
@@ -99,18 +91,7 @@ def test_non_finite_branch_points_rejected():
             HyperellipticCurve((-1.0, 0.0, bad, 2.0, 3.0))
 
 
-def test_k_outside_genus_raises():
-    # k indexes the holomorphic differentials x^(k-1) dx / y, k = 1..genus
-    curve = w9.curve_Qs(0.3)
-    path = build_cycles(curve, LAYOUT_GENUS2).arcs[0]
-    for ks in ([0], [3], [1, 3], [1.5], []):
-        with pytest.raises(ParameterError):
-            arc_integrals(curve, path, ks)
-    both = arc_integrals(curve, path, [2, 1])
-    assert np.array_equal(both, arc_integrals(curve, path, [1, 2])[::-1])
-
-
-def _full_level_estimate(curve, path, ks, level):
+def _full_level_estimate(curve, path, level):
     """Tanh-sinh estimate at one level with sqrt(P) evaluated afresh at
     every node of the level and tracked from the midpoint anchor, and
     x^(k-1) by power: the per-level rule the nested refinement replaces."""
@@ -130,10 +111,11 @@ def _full_level_estimate(curve, path, ks, level):
     sq = np.sqrt(P)
     sq = _track_signs(sq, len(u) // 2, _principal_anchor(curve.branch_points, mid)) * sq
     base = w / sq
-    return np.array([half * np.sum(base * x ** (k - 1)) for k in ks])
+    return np.array([half * np.sum(base * x ** (k - 1))
+                     for k in range(1, curve.genus + 1)])
 
 
-def _nested_levels(monkeypatch, curve, path, ks):
+def _nested_levels(monkeypatch, curve, path):
     """The nested estimates of arc_integrals at every level MIN..MAX_LEVEL."""
     seen = []
 
@@ -143,7 +125,7 @@ def _nested_levels(monkeypatch, curve, path, ks):
         return seen[-1]
 
     monkeypatch.setattr(periods, "integrate_levels", every_level)
-    arc_integrals(curve, path, ks)
+    arc_integrals(curve, path)
     return seen
 
 
@@ -152,11 +134,10 @@ def test_nested_levels_match_full_evaluation(monkeypatch, s):
     base = w9.curve_Qs(s)
     for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
         plan = build_cycles(curve, layout)
-        ks = list(range(1, curve.genus + 1))
         for i in plan.used_arcs():
-            nested = _nested_levels(monkeypatch, curve, plan.arcs[i], ks)
+            nested = _nested_levels(monkeypatch, curve, plan.arcs[i])
             for level, got in zip(range(MIN_LEVEL, MAX_LEVEL + 1), nested):
-                full = _full_level_estimate(curve, plan.arcs[i], ks, level)
+                full = _full_level_estimate(curve, plan.arcs[i], level)
                 assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max(), \
                     (s, layout, i, level)
 
@@ -185,7 +166,7 @@ def test_nested_levels_evaluate_each_node_once(monkeypatch):
         for i in plan.used_arcs():
             sampled.clear()
             levels.clear()
-            arc_integrals(curve, plan.arcs[i], range(1, curve.genus + 1))
+            arc_integrals(curve, plan.arcs[i])
             stop = levels[-1]
             stops.add(stop)
             assert sum(sampled) == len(tanh_sinh_nodes(stop)[0]), (layout, i, stop)
@@ -204,7 +185,7 @@ def test_genus2_arcs_match_mpmath_at_cusps(s):
         roots = [mpmath.mpf(r.real) for r in curve.branch_points]
         for i in plan.used_arcs():
             path = plan.arcs[i]
-            got = arc_integrals(curve, path, [1, 2])
+            got = arc_integrals(curve, path)
             for k in (1, 2):
                 ref = float(mpmath.quad(
                     lambda x: x ** (k - 1) / mpmath.sqrt(abs(mpmath.fprod(x - r for r in roots))),

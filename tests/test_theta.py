@@ -5,7 +5,11 @@ import pytest
 
 from conftest import (ZHAT1, random_riemann_matrix, random_symplectic,
                       theta_brute)
+from w9periods import w9
 from w9periods.errors import DimensionError, ParameterError, TruncationError
+from w9periods.periods import LAYOUT_COVER, build_cycles, period_matrix
+from w9periods.quadrature import QuadConfig
+from w9periods.siegel import symmetry_residual
 from w9periods.theta import (DEFAULT_POLICY, ThetaCharacteristic,
                              TruncationPolicy, all_characteristics,
                              char_transform, modular_magnitude_check,
@@ -81,6 +85,27 @@ def test_theta_rejects_non_finite_input():
             theta_char(CH_VANISHING, z, Z)
     with pytest.raises(ParameterError, match="finite"):
         theta_char(CH_VANISHING, [0.0, math.nan, 0.0], ZHAT1)
+
+
+def test_theta_rejects_non_symmetric_matrix():
+    # the quadratic form reads only (Z + Z^T)/2; an asymmetric Z is an error
+    ch = ThetaCharacteristic((0, 0), (0, 0))
+    with pytest.raises(ParameterError, match="not symmetric"):
+        theta_char(ch, np.zeros(2), np.array([[1j, 0.5], [-0.5, 1j]]))
+    Z = ZHAT1.copy()
+    Z[0, 2] += 1e-5
+    with pytest.raises(ParameterError, match="not symmetric"):
+        theta_char(CH_VANISHING, np.zeros(3), Z)
+    # the bound is relative to max(1, max |Z_ij|): 1e-5 passes at scale 100
+    Z = 100.0 * ZHAT1
+    Z[0, 2] += 1e-5
+    assert abs(theta_char(CH_ZERO3, np.zeros(3), Z) - 1.0) < 1e-12
+    # quadrature noise passes: this cover matrix is 1.2e-9 (relative) off
+    # symmetric, which period_matrix accepts at quad tol 1e-4
+    cover = w9.double_cover(w9.curve_Qs(0.07))
+    Zq = period_matrix(cover, build_cycles(cover, LAYOUT_COVER), QuadConfig(tol=1e-4))
+    assert symmetry_residual(Zq) > 1e-9
+    assert w9.theta_membership_check(Zq, shape_tol=1e-6) < 1e-6
 
 
 def test_theta_against_brute_force_sum():

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import S_SQUARE, Z1, ZHAT1
 from w9periods import w9
-from w9periods.errors import LayoutError, ParameterError, ShapeMismatchError
+from w9periods.errors import (DegeneracyError, LayoutError, ParameterError,
+                              ShapeMismatchError)
 from w9periods.periods import (LAYOUT_COVER, LAYOUT_GENUS2, build_cycles,
                                period_matrix)
 
@@ -70,6 +71,13 @@ def test_w9param_invariants():
         w9.curve_Qs(0.9)
     with pytest.raises(ParameterError):
         w9.curve_Qs(-0.1)
+
+
+def test_curve_Qs_degenerate_edge():
+    # a = s^2 falls within MIN_ROOT_SEPARATION = 1e-12 of the branch point 0
+    with pytest.raises(DegeneracyError, match="coincide"):
+        w9.curve_Qs(1e-7)
+    assert w9.curve_Qs(1e-5).branch_points[2] == 1e-5 * 1e-5
 
 
 def test_curve_pu_fixture():
@@ -243,16 +251,3 @@ def test_membership_grid_end_to_end():
         assert abs(shape.z13.real) < 1e-7
         assert w9.theta_membership_check(Zhat, shape_tol=1e-6) < 1e-6
 
-
-def test_silhol_order4_period():
-    Z = w9.silhol_order4_period(2.0)
-    assert np.abs(Z - 1j * np.array([[5 / 3, -4 / 3], [-4 / 3, 5 / 3]])).max() < 1e-14
-    assert np.abs(w9.silhol_order4_period(1.0) - 1j * np.eye(2)).max() < 1e-14
-    for lam in (0.6, 1.5, 3.0):
-        Z = w9.silhol_order4_period(lam)
-        assert np.abs(Z - Z.T).max() == 0
-        assert np.linalg.eigvalsh(Z.imag).min() > 0
-    with pytest.raises(ParameterError):
-        w9.silhol_order4_period(0.5)
-    with pytest.raises(ParameterError):
-        w9.silhol_order4_period(math.inf)
