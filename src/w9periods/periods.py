@@ -20,6 +20,17 @@ test_period_matrix_genus2_fixture, test_period_matrix_cover_fixture,
 test_period_ratio_elliptic and acceptance criteria 3 and 8 pin it, and the
 chain-tracking test in tests/test_periods.py checks that the midpoint
 anchors of the genus-2 arcs agree with continuation between arcs.
+
+Conjugate half: an arc from z0 to conj(z0), on a curve whose branch
+points are closed under conjugation, is integrated from z0 to its real
+midpoint m only, with the square root anchored at m to the same
+principal product A.  As P(conj x) = conj P(x), the root on the other
+half is sigma * conj(sqrt(P(conj x))) with sigma = A / conj(A), so the
+arc integral is I = I_half - sigma * conj(I_half).  P(m) is real, so A
+is real or imaginary and sigma = +1 or -1, read off |Re A| >= |Im A|.
+This is the cover's arc from i to -i, which crosses the real axis
+between -a and a: the half puts that near-singularity at an end point,
+where the tanh-sinh nodes crowd, and stops at level 6 down to s = 1e-4.
 """
 
 from __future__ import annotations
@@ -183,9 +194,39 @@ def _moments(x: np.ndarray, f: np.ndarray, kmax: int) -> np.ndarray:
     return np.array(sums)
 
 
+def _conjugate_ends(curve: HyperellipticCurve, path: ArcPath) -> bool:
+    """True iff the arc's ends are a conjugate pair off the real axis and
+    the branch points are closed under conjugation."""
+    pts = curve.branch_points
+    return (path.start.imag != 0 and path.end == path.start.conjugate()
+            and all(min(abs(q - r.conjugate()) for q in pts) <= MIN_ROOT_SEPARATION
+                    for r in pts))
+
+
 def arc_integrals(curve: HyperellipticCurve, path: ArcPath,
                   quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Integrals of x^(k-1) dx / sqrt(P) along the arc for k = 1..genus.
+
+    An arc with conjugate ends on a conjugation-closed curve is integrated
+    over its upper half only, from its start to its real midpoint m, with
+    sqrt(P) anchored at m; the other half is -sigma * conj of it (see the
+    module docstring).
+    """
+    _check_clearance(curve, path)
+    if _conjugate_ends(curve, path):
+        m = complex(path.start.real)
+        anchor = _principal_anchor(curve.branch_points, m)
+        upper = _nested_integrals(curve, ArcPath(path.start, m), anchor, True, quad)
+        sigma = 1.0 if abs(anchor.real) >= abs(anchor.imag) else -1.0
+        return upper - sigma * upper.conj()
+    anchor = _principal_anchor(curve.branch_points, 0.5 * (path.start + path.end))
+    return _nested_integrals(curve, path, anchor, False, quad)
+
+
+def _nested_integrals(curve: HyperellipticCurve, path: ArcPath, anchor: complex,
+                      anchor_at_end: bool, quad: QuadConfig) -> np.ndarray:
+    """The arc's moment integrals, sqrt(P) anchored to the value anchor at
+    the arc's midpoint, or at its end point if anchor_at_end.
 
     The tanh-sinh levels nest (see quadrature), so sqrt(P) is evaluated
     once per node: the first estimate samples level MIN_LEVEL + 1 and
@@ -193,10 +234,8 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath,
     only its new odd nodes, gives each the sign continuous with its left
     neighbour, and adds their sum to half the previous one.
     """
-    _check_clearance(curve, path)
     kmax = curve.genus
     half = 0.5 * (path.end - path.start)
-    mid = 0.5 * (path.end + path.start)
     # sq: tracked sqrt(P) at every node of the deepest level sampled;
     # acc: moment sums of the level last returned, without the factor half;
     # odd: the odd-node sums of level MIN_LEVEL + 1, sampled by the first call
@@ -207,8 +246,9 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath,
         if level == MIN_LEVEL:
             u, one_minus, one_plus, w = tanh_sinh_nodes(level + 1)
             x, sq = _sqrt_p_on_nodes(curve, path, u, one_minus, one_plus)
-            anchor = _principal_anchor(curve.branch_points, mid)
-            sq = sq * _track_signs(sq, len(u) // 2, anchor)  # u[len // 2] = 0
+            # u[-1] = 1 (x = end) and u[len // 2] = 0 (x = midpoint)
+            at = len(u) - 1 if anchor_at_end else len(u) // 2
+            sq = sq * _track_signs(sq, at, anchor)
             f = w / sq
             acc = 2.0 * _moments(x[::2], f[::2], kmax)
             odd = _moments(x[1::2], f[1::2], kmax)
@@ -309,7 +349,8 @@ def period_matrix(curve: HyperellipticCurve, plan: CyclePlan,
                   quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Z = A B^-1, validated as a Riemann matrix at quadrature tolerance."""
     pair = period_matrices(curve, plan, quad)
-    Z = lu_solve(pair.B.T, pair.A.T).T
+    # an owned C-contiguous copy, not a view pinning LAPACK's output
+    Z = np.ascontiguousarray(lu_solve(pair.B.T, pair.A.T).T)
     tol = max(1e-10, 100 * quad.tol)
     if not is_riemann_matrix(Z, tol):
         raise AccuracyError("computed A B^-1 is not a Riemann matrix")

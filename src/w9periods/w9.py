@@ -131,7 +131,7 @@ def double_cover(curve: HyperellipticCurve) -> HyperellipticCurve:
     return HyperellipticCurve((-c, -b, -a, 1j, -1j, a, b, c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverShape:
     """Parameters (z1, z13) of the rigid cover period-matrix pattern."""
 

@@ -292,6 +292,13 @@ def test_verify_grid(capsys):
     assert json.loads(out)["pass"]
 
 
+def test_verify_near_low_cusp(capsys):
+    # the cover's arc from i to -i passes between -s and s
+    code, out, _ = run(capsys, "verify", "--s", "0.001")
+    assert code == 0
+    assert json.loads(out)["pass"]
+
+
 def test_verify_out_of_range(capsys):
     code, _, err = run(capsys, "verify", "--s", "0.9")
     assert code == 2 and "outside (0, sqrt(3)/3)" in err

@@ -13,7 +13,7 @@ from w9periods.periods import (CLEARANCE_FACTOR, LAYOUT_COVER, LAYOUT_ELLIPTIC,
                                HyperellipticCurve, _principal_anchor,
                                _segment_distance, _track_signs, arc_integrals,
                                build_cycles, period_matrices, period_matrix)
-from w9periods.quadrature import MAX_LEVEL, MIN_LEVEL, tanh_sinh_nodes
+from w9periods.quadrature import DEFAULT_QUAD, MAX_LEVEL, MIN_LEVEL, tanh_sinh_nodes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -94,9 +94,15 @@ def test_non_finite_branch_points_rejected():
 def _full_level_estimate(curve, path, level):
     """Tanh-sinh estimate at one level with sqrt(P) evaluated afresh at
     every node of the level and tracked from the midpoint anchor, and
-    x^(k-1) by power: the per-level rule the nested refinement replaces."""
+    x^(k-1) by power: the per-level rule the nested refinement replaces.
+    An arc with conjugate ends is halved as arc_integrals halves it: the
+    estimate is over its upper half, tracked from the real end m."""
     u, one_minus, one_plus, w = tanh_sinh_nodes(level)
     z0, z1 = path.start, path.end
+    anchor_index, anchor_x = len(u) // 2, 0.5 * (z1 + z0)
+    if periods._conjugate_ends(curve, path):
+        z1 = anchor_x = complex(z0.real)
+        anchor_index = -1
     half = 0.5 * (z1 - z0)
     mid = 0.5 * (z1 + z0)
     x = mid + half * u
@@ -109,7 +115,8 @@ def _full_level_estimate(curve, path, level):
         else:
             P *= x - r
     sq = np.sqrt(P)
-    sq = _track_signs(sq, len(u) // 2, _principal_anchor(curve.branch_points, mid)) * sq
+    sq = _track_signs(sq, anchor_index,
+                      _principal_anchor(curve.branch_points, anchor_x)) * sq
     base = w / sq
     return np.array([half * np.sum(base * x ** (k - 1))
                      for k in range(1, curve.genus + 1)])
@@ -142,9 +149,8 @@ def test_nested_levels_match_full_evaluation(monkeypatch, s):
                     (s, layout, i, level)
 
 
-def test_nested_levels_evaluate_each_node_once(monkeypatch):
-    # an arc that stops at level L samples sqrt(P) at the N_L nodes of
-    # level L in total, not at sum_{l <= L} N_l
+def _record_levels(monkeypatch):
+    """Lists filled by arc_integrals: the node counts sampled and levels run."""
     sampled = []
     levels = []
     sqrt_p = periods._sqrt_p_on_nodes
@@ -159,19 +165,64 @@ def test_nested_levels_evaluate_each_node_once(monkeypatch):
 
     monkeypatch.setattr(periods, "_sqrt_p_on_nodes", counting_sqrt_p)
     monkeypatch.setattr(periods, "integrate_levels", counting_drive)
+    return sampled, levels
+
+
+def test_nested_levels_evaluate_each_node_once(monkeypatch):
+    # an arc that stops at level L samples sqrt(P) at the N_L nodes of
+    # level L in total, not at sum_{l <= L} N_l; the branch points
+    # 0.5 +- 0.02i next to the arc 0 -> 1 drive it past level 7
+    sampled, levels = _record_levels(monkeypatch)
+    curve = HyperellipticCurve((-1.0, 0.0, 1.0, 0.5 + 0.02j, 0.5 - 0.02j))
     stops = set()
-    base = w9.curve_Qs(0.05)  # the cover's arc from i to -i stops at level 8
-    for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
-        plan = build_cycles(curve, layout)
-        for i in plan.used_arcs():
-            sampled.clear()
-            levels.clear()
-            arc_integrals(curve, plan.arcs[i])
-            stop = levels[-1]
-            stops.add(stop)
-            assert sum(sampled) == len(tanh_sinh_nodes(stop)[0]), (layout, i, stop)
+    for path in (ArcPath(0.0, 1.0), ArcPath(-1.0, 0.0)):
+        sampled.clear()
+        levels.clear()
+        arc_integrals(curve, path)
+        stop = levels[-1]
+        stops.add(stop)
+        assert sum(sampled) == len(tanh_sinh_nodes(stop)[0]), (path, stop)
     assert 6 in stops and max(stops) > 7
     assert len(tanh_sinh_nodes(6)[0]) == 553
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-3, 0.005, 0.05, S_SQUARE, 0.5, 0.57])
+def test_cover_arc_i_to_minus_i_stops_at_level_6(monkeypatch, s):
+    # the near-singularity between -a and a sits at the half-arc's end,
+    # where the tanh-sinh nodes crowd
+    sampled, levels = _record_levels(monkeypatch)
+    arc_integrals(w9.double_cover(w9.curve_Qs(s)), ArcPath(1j, -1j))
+    assert levels[-1] == 6
+    assert sum(sampled) == len(tanh_sinh_nodes(6)[0])
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.05, S_SQUARE, 0.5])
+def test_conjugate_half_matches_lower_half(s):
+    # the lower half m -> -i, integrated directly with sqrt(P) anchored at
+    # m = 0 to the same principal value A, is -sigma conj(upper half)
+    curve = w9.double_cover(w9.curve_Qs(s))
+    anchor = _principal_anchor(curve.branch_points, 0j)
+    sigma = 1.0 if abs(anchor.real) >= abs(anchor.imag) else -1.0
+    upper = periods._nested_integrals(curve, ArcPath(1j, 0j), anchor, True, DEFAULT_QUAD)
+    lower = -periods._nested_integrals(curve, ArcPath(-1j, 0j), anchor, True, DEFAULT_QUAD)
+    assert np.abs(lower + sigma * upper.conj()).max() <= 1e-15 * np.abs(upper).max()
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-2])
+def test_cover_arc_i_to_minus_i_matches_mpmath(s):
+    # on x = iy, -1 < y < 1, P is real and negative, so the determination
+    # anchored at x = 0 to A is (A / |A|) sqrt(|P(x)|) along the whole arc
+    curve = w9.double_cover(w9.curve_Qs(s))
+    got = arc_integrals(curve, ArcPath(1j, -1j))
+    anchor = _principal_anchor(curve.branch_points, 0j)
+    with mpmath.workdps(30):
+        roots = [mpmath.mpc(r.real, r.imag) for r in curve.branch_points]
+        phase = mpmath.mpc(anchor.real, anchor.imag) / abs(anchor)
+        ref = np.array([complex(mpmath.quad(
+            lambda y: (1j * y) ** (k - 1) * 1j
+            / (phase * mpmath.sqrt(abs(mpmath.fprod(1j * y - r for r in roots)))),
+            [1, s, 0, -s, -1])) for k in (1, 2, 3)])
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("s", [0.005, 0.57])
