@@ -31,12 +31,36 @@ is real or imaginary and sigma = +1 or -1, read off |Re A| >= |Im A|.
 This is the cover's arc from i to -i, which crosses the real axis
 between -a and a: the half puts that near-singularity at an end point,
 where the tanh-sinh nodes crowd, and stops at level 6 down to s = 1e-4.
+
+Mirror pairs: when the branch points are closed under x -> -x,
+P(-x) = (-1)^n P(x) for n = len(branch_points).  Let arc j run from z0
+to z1 and arc i be its negated reverse, from -z1 to -z0.  Substituting
+x = -y turns I_j,k = int_j x^(k-1) dx / S_j(x) into (-1)^(k+1) times
+int_i y^(k-1) dy / S_j(-y).  S_j(-y) squares to (-1)^n P(y) and is
+continuous on arc i, so it is eps * S_i(y) for a constant eps, read off
+at the midpoints: eps = S_j(m_j) / S_i(-m_j) = A_j / A_i.  Hence
+I_j,k = (-1)^(k+1) I_i,k / eps, where eps^2 = (-1)^n makes eps = +-1 for
+even degree and +-i for odd degree (y^2 = x^3 - x); it is rounded to that
+unit.  period_matrices integrates arc i and derives arc j: on the cover
+the arcs -c -> -b and -b -> -a give b -> c and a -> b.  The mirror of an
+arc has the clearance of the arc, so no clearance check is lost.
+
+Real arcs: on a real arc of a conjugation-closed curve P is real and
+nonzero, so P(x) / P(m) is positive on the whole arc and the continuous
+root is sqrt(P(x)) = A * sqrt(P(x) / P(m)), a constant phase A times a
+positive float64 function.  No sign table is needed.  The end-point
+factors of the ratio are exactly one_plus and one_minus, a real root r
+gives (x - r) / (m - r) and a conjugate pair r, conj(r) gives
+|x - r|^2 / |m - r|^2.  This covers all genus-2 arcs and the cover's
+arcs -c -> -b and -b -> -a; the cover's arcs through +-i keep the
+complex tracked root.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -79,6 +103,20 @@ class HyperellipticCurve:
 
     def clearance(self) -> float:
         return self._clearance
+
+    @cached_property
+    def closed_under_conjugation(self) -> bool:
+        return _closed_under(self.branch_points, lambda r: r.conjugate())
+
+    @cached_property
+    def closed_under_negation(self) -> bool:
+        return _closed_under(self.branch_points, lambda r: -r)
+
+
+def _closed_under(pts, image) -> bool:
+    """True iff image(r) is a branch point, to MIN_ROOT_SEPARATION, for all r."""
+    return all(min(abs(q - p) for q in pts) <= MIN_ROOT_SEPARATION
+               for p in map(image, pts))
 
 
 @dataclass(frozen=True)
@@ -164,7 +202,7 @@ def _track_signs(w: np.ndarray, anchor_index: int,
 def _principal_anchor(roots, x0: complex) -> complex:
     val = complex(1.0)
     for r in roots:
-        val *= np.sqrt(complex(x0 - r))
+        val *= cmath.sqrt(x0 - r)
     return val
 
 
@@ -185,6 +223,27 @@ def _sqrt_p_on_nodes(curve: HyperellipticCurve, path: ArcPath,
     return x, np.sqrt(P)
 
 
+def _real_root_on_nodes(curve: HyperellipticCurve, path: ArcPath,
+                        u, one_minus, one_plus):
+    """Real node positions x and sqrt(P(x) / P(m)) there, m the midpoint,
+    for a real arc of a conjugation-closed curve (see the module docstring)."""
+    z0, z1 = path.start.real, path.end.real
+    m = 0.5 * (z1 + z0)
+    x = m + 0.5 * (z1 - z0) * u
+    R = one_plus * one_minus
+    scale = 1.0
+    for r in curve.branch_points:
+        if abs(r - z0) <= MIN_ROOT_SEPARATION or abs(r - z1) <= MIN_ROOT_SEPARATION:
+            continue
+        if abs(r.imag) <= MIN_ROOT_SEPARATION:
+            R *= x - r.real
+            scale *= m - r.real
+        elif r.imag > 0:  # with its conjugate, which the curve holds too
+            R *= (x - r.real) ** 2 + r.imag ** 2
+            scale *= abs(m - r) ** 2
+    return x, np.sqrt(R / scale)
+
+
 def _moments(x: np.ndarray, f: np.ndarray, kmax: int) -> np.ndarray:
     """Sums of f * x^(k-1) for k = 1..kmax, powers by running product."""
     sums = [f.sum()]
@@ -197,74 +256,97 @@ def _moments(x: np.ndarray, f: np.ndarray, kmax: int) -> np.ndarray:
 def _conjugate_ends(curve: HyperellipticCurve, path: ArcPath) -> bool:
     """True iff the arc's ends are a conjugate pair off the real axis and
     the branch points are closed under conjugation."""
-    pts = curve.branch_points
     return (path.start.imag != 0 and path.end == path.start.conjugate()
-            and all(min(abs(q - r.conjugate()) for q in pts) <= MIN_ROOT_SEPARATION
-                    for r in pts))
+            and curve.closed_under_conjugation)
 
 
 def arc_integrals(curve: HyperellipticCurve, path: ArcPath,
                   quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Integrals of x^(k-1) dx / sqrt(P) along the arc for k = 1..genus.
 
-    An arc with conjugate ends on a conjugation-closed curve is integrated
-    over its upper half only, from its start to its real midpoint m, with
-    sqrt(P) anchored at m; the other half is -sigma * conj of it (see the
-    module docstring).
+    A real arc of a conjugation-closed curve runs the float64 kernel
+    sqrt(P) = A * sqrt(P / P(m)).  An arc with conjugate ends on such a
+    curve is integrated over its upper half only, from its start to its
+    real midpoint m, with sqrt(P) anchored at m; the other half is
+    -sigma * conj of it.  See the module docstring for both.
     """
     _check_clearance(curve, path)
+    pts, g = curve.branch_points, curve.genus
     if _conjugate_ends(curve, path):
         m = complex(path.start.real)
-        anchor = _principal_anchor(curve.branch_points, m)
-        upper = _nested_integrals(curve, ArcPath(path.start, m), anchor, True, quad)
+        anchor = _principal_anchor(pts, m)
+        upper_half = _tracked_root(curve, ArcPath(path.start, m), anchor, True)
+        upper = _nested_integrals(upper_half, g, 0.5 * (m - path.start), quad)
         sigma = 1.0 if abs(anchor.real) >= abs(anchor.imag) else -1.0
         return upper - sigma * upper.conj()
-    anchor = _principal_anchor(curve.branch_points, 0.5 * (path.start + path.end))
-    return _nested_integrals(curve, path, anchor, False, quad)
-
-
-def _nested_integrals(curve: HyperellipticCurve, path: ArcPath, anchor: complex,
-                      anchor_at_end: bool, quad: QuadConfig) -> np.ndarray:
-    """The arc's moment integrals, sqrt(P) anchored to the value anchor at
-    the arc's midpoint, or at its end point if anchor_at_end.
-
-    The tanh-sinh levels nest (see quadrature), so sqrt(P) is evaluated
-    once per node: the first estimate samples level MIN_LEVEL + 1 and
-    reads level MIN_LEVEL off its even nodes; each deeper level samples
-    only its new odd nodes, gives each the sign continuous with its left
-    neighbour, and adds their sum to half the previous one.
-    """
-    kmax = curve.genus
+    anchor = _principal_anchor(pts, 0.5 * (path.start + path.end))
     half = 0.5 * (path.end - path.start)
-    # sq: tracked sqrt(P) at every node of the deepest level sampled;
-    # acc: moment sums of the level last returned, without the factor half;
-    # odd: the odd-node sums of level MIN_LEVEL + 1, sampled by the first call
-    sq = acc = odd = None
+    if path.start.imag == 0 == path.end.imag and curve.closed_under_conjugation:
+        return _nested_integrals(partial(_real_root_on_nodes, curve, path), g,
+                                 half / anchor, quad)
+    return _nested_integrals(_tracked_root(curve, path, anchor, False), g, half, quad)
 
-    def estimate(level: int) -> np.ndarray:
-        nonlocal sq, acc, odd
-        if level == MIN_LEVEL:
-            u, one_minus, one_plus, w = tanh_sinh_nodes(level + 1)
-            x, sq = _sqrt_p_on_nodes(curve, path, u, one_minus, one_plus)
+
+def _tracked_root(curve: HyperellipticCurve, path: ArcPath, anchor: complex,
+                  anchor_at_end: bool):
+    """Sampler of sqrt(P) on the arc, anchored to the value anchor at the
+    arc's midpoint, or at its end point if anchor_at_end, and continued
+    node to node.
+
+    The first call takes every node of a level and tracks the signs from
+    the anchor; each later call takes the new odd nodes of the next level
+    and gives each the sign continuous with its left neighbour.
+    """
+    sq = None  # tracked sqrt(P) at every node of the deepest level sampled
+
+    def sample(u, one_minus, one_plus):
+        nonlocal sq
+        x, new = _sqrt_p_on_nodes(curve, path, u, one_minus, one_plus)
+        if sq is None:
             # u[-1] = 1 (x = end) and u[len // 2] = 0 (x = midpoint)
             at = len(u) - 1 if anchor_at_end else len(u) // 2
-            sq = sq * _track_signs(sq, at, anchor)
-            f = w / sq
+            sq = new * _track_signs(new, at, anchor)
+            return x, sq
+        new = np.where((new / sq[:-1]).real < 0, -new, new)
+        merged = np.empty(2 * len(sq) - 1, dtype=complex)
+        merged[::2] = sq
+        merged[1::2] = new
+        sq = merged
+        return x, new
+
+    return sample
+
+
+def _nested_integrals(sample, kmax: int, scale: complex,
+                      quad: QuadConfig) -> np.ndarray:
+    """scale times the tanh-sinh sums of w x^(k-1) / root for k = 1..kmax,
+    where sample(u, one_minus, one_plus) -> (x, root) maps nodes of [-1, 1]
+    to points of the arc and the arc's root function there.
+
+    The tanh-sinh levels nest (see quadrature), so the root is evaluated
+    once per node: the first estimate samples level MIN_LEVEL + 1 and
+    reads level MIN_LEVEL off its even nodes; each deeper level samples
+    only its new odd nodes and adds their sum to half the previous one.
+    """
+    # acc: moment sums of the level last returned, without the factor scale;
+    # odd: the odd-node sums of level MIN_LEVEL + 1, sampled by the first call
+    acc = odd = None
+
+    def estimate(level: int) -> np.ndarray:
+        nonlocal acc, odd
+        if level == MIN_LEVEL:
+            u, one_minus, one_plus, w = tanh_sinh_nodes(level + 1)
+            x, root = sample(u, one_minus, one_plus)
+            f = w / root
             acc = 2.0 * _moments(x[::2], f[::2], kmax)
             odd = _moments(x[1::2], f[1::2], kmax)
         elif level == MIN_LEVEL + 1:
             acc = 0.5 * acc + odd
         else:
             u, one_minus, one_plus, w = tanh_sinh_nodes(level)
-            x, new = _sqrt_p_on_nodes(curve, path, u[1::2], one_minus[1::2],
-                                      one_plus[1::2])
-            new = np.where((new / sq[:-1]).real < 0, -new, new)
-            merged = np.empty(2 * len(sq) - 1, dtype=complex)
-            merged[::2] = sq
-            merged[1::2] = new
-            sq = merged
-            acc = 0.5 * acc + _moments(x, w[1::2] / new, kmax)
-        return half * acc
+            x, root = sample(u[1::2], one_minus[1::2], one_plus[1::2])
+            acc = 0.5 * acc + _moments(x, w[1::2] / root, kmax)
+        return scale * acc
 
     return integrate_levels(estimate, quad)
 
@@ -334,13 +416,33 @@ class PeriodPair:
 
 def period_matrices(curve: HyperellipticCurve, plan: CyclePlan,
                     quad: QuadConfig = DEFAULT_QUAD) -> PeriodPair:
-    """Assemble A and B from the plan's integer combinations of arc integrals."""
+    """Assemble A and B from the plan's integer combinations of arc integrals.
+
+    On a curve closed under x -> -x an arc whose negated reverse is
+    already integrated is derived from it (see the module docstring).
+    """
     g = plan.genus
     if curve.genus != g:
         raise LayoutError(f"curve genus {curve.genus} != plan genus {g}")
+    pts = curve.branch_points
+    mirror = curve.closed_under_negation
     integrals = np.zeros((len(plan.arcs), g), dtype=complex)
-    for i in plan.used_arcs():
-        integrals[i] = arc_integrals(curve, plan.arcs[i], quad)
+    integrated = {}  # (start, end) of each integrated arc -> its row
+    for j in plan.used_arcs():
+        arc = plan.arcs[j]
+        i = integrated.get((-arc.end, -arc.start)) if mirror else None
+        if i is None:
+            integrals[j] = arc_integrals(curve, arc, quad)
+            integrated[arc.start, arc.end] = j
+            continue
+        # I_j,k = (-1)^(k+1) I_i,k / eps, eps = A_j / A_i rounded to its unit;
+        # A_i from arc i as stored, as arc_integrals anchored it (the
+        # principal root of a negative real depends on the sign of its zero)
+        twin = plan.arcs[i]
+        ratio = (_principal_anchor(pts, 0.5 * (arc.start + arc.end))
+                 / _principal_anchor(pts, 0.5 * (twin.start + twin.end)))
+        integrals[j] = integrals[i] / complex(round(ratio.real), round(ratio.imag))
+        integrals[j, 1::2] *= -1.0
     return PeriodPair(np.array(plan.alpha_rows) @ integrals,
                       np.array(plan.beta_rows) @ integrals)
 

@@ -153,17 +153,20 @@ def _record_levels(monkeypatch):
     """Lists filled by arc_integrals: the node counts sampled and levels run."""
     sampled = []
     levels = []
-    sqrt_p = periods._sqrt_p_on_nodes
     drive = periods.integrate_levels
 
-    def counting_sqrt_p(curve, path, u, one_minus, one_plus):
-        sampled.append(len(u))
-        return sqrt_p(curve, path, u, one_minus, one_plus)
+    def counting(kernel):
+        def count(curve, path, u, one_minus, one_plus):
+            sampled.append(len(u))
+            return kernel(curve, path, u, one_minus, one_plus)
+        return count
 
     def counting_drive(eval_terms, cfg):
         return drive(lambda level: levels.append(level) or eval_terms(level), cfg)
 
-    monkeypatch.setattr(periods, "_sqrt_p_on_nodes", counting_sqrt_p)
+    # both kernels: the complex tracked root and the float64 real-arc root
+    for name in ("_sqrt_p_on_nodes", "_real_root_on_nodes"):
+        monkeypatch.setattr(periods, name, counting(getattr(periods, name)))
     monkeypatch.setattr(periods, "integrate_levels", counting_drive)
     return sampled, levels
 
@@ -203,8 +206,14 @@ def test_conjugate_half_matches_lower_half(s):
     curve = w9.double_cover(w9.curve_Qs(s))
     anchor = _principal_anchor(curve.branch_points, 0j)
     sigma = 1.0 if abs(anchor.real) >= abs(anchor.imag) else -1.0
-    upper = periods._nested_integrals(curve, ArcPath(1j, 0j), anchor, True, DEFAULT_QUAD)
-    lower = -periods._nested_integrals(curve, ArcPath(-1j, 0j), anchor, True, DEFAULT_QUAD)
+
+    def half(path):
+        return periods._nested_integrals(
+            periods._tracked_root(curve, path, anchor, True), curve.genus,
+            0.5 * (path.end - path.start), DEFAULT_QUAD)
+
+    upper = half(ArcPath(1j, 0j))
+    lower = -half(ArcPath(-1j, 0j))
     assert np.abs(lower + sigma * upper.conj()).max() <= 1e-15 * np.abs(upper).max()
 
 
@@ -222,6 +231,91 @@ def test_cover_arc_i_to_minus_i_matches_mpmath(s):
             lambda y: (1j * y) ** (k - 1) * 1j
             / (phase * mpmath.sqrt(abs(mpmath.fprod(1j * y - r for r in roots)))),
             [1, s, 0, -s, -1])) for k in (1, 2, 3)])
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _count_arc_integrals(monkeypatch):
+    calls = []
+    arc = periods.arc_integrals
+
+    def counting(curve, path, quad=DEFAULT_QUAD):
+        calls.append(path)
+        return arc(curve, path, quad)
+
+    monkeypatch.setattr(periods, "arc_integrals", counting)
+    return calls
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.05, S_SQUARE, 0.5, 0.57])
+def test_mirror_pairs_match_direct_integration(monkeypatch, s):
+    # the cover is closed under x -> -x: arcs a -> b and b -> c are derived
+    # from -b -> -a and -c -> -b; a plan with one arc per basis row reads
+    # every arc's integrals back from A and B
+    curve = w9.double_cover(w9.curve_Qs(s))
+    cover = build_cycles(curve, LAYOUT_COVER)
+    eye = np.eye(len(cover.arcs), dtype=int)
+    plan = periods.CyclePlan(LAYOUT_COVER, cover.arcs,
+                             tuple(map(tuple, eye[[0, 1, 2]])),
+                             tuple(map(tuple, eye[[3, 5, 6]])))
+    direct = {j: arc_integrals(curve, cover.arcs[j]) for j in plan.used_arcs()}
+    calls = _count_arc_integrals(monkeypatch)
+    pair = period_matrices(curve, plan)
+    assert calls == [cover.arcs[j] for j in (0, 1, 2, 3)]
+    for row, j in zip(pair.B[1:], (5, 6)):
+        assert np.abs(row - direct[j]).max() <= 1e-15 * np.abs(direct[j]).max(), (s, j)
+    for row, j in zip(np.vstack([pair.A, pair.B[:1]]), (0, 1, 2, 3)):
+        assert np.array_equal(row, direct[j])
+
+
+def test_mirror_pair_odd_degree(monkeypatch):
+    # y^2 = x^3 - x: P(-x) = -P(x), so eps = A_j / A_i is +-i, and the arc
+    # 0 -> 1 is derived from -1 -> 0; tau is still i
+    curve = elliptic_curve()
+    plan = build_cycles(curve, LAYOUT_ELLIPTIC)
+    direct = arc_integrals(curve, plan.arcs[1])
+    calls = _count_arc_integrals(monkeypatch)
+    pair = period_matrices(curve, plan)
+    assert calls == [plan.arcs[0]]
+    assert abs(pair.A[0, 0] - direct[0]) <= 1e-15 * abs(direct[0])
+    eps = (_principal_anchor(curve.branch_points, 0.5)
+           / _principal_anchor(curve.branch_points, -0.5))
+    assert abs(abs(eps.imag) - 1) < 1e-15 and abs(eps.real) < 1e-15
+    assert abs(period_matrix(curve, plan)[0, 0] - 1j) < 1e-14
+
+
+def test_period_matrix_arc_count(monkeypatch):
+    # work counter: the cover integrates one arc of each mirror pair, 4 of
+    # its 6 used arcs; genus 2 has no mirror symmetry and integrates all 4
+    calls = _count_arc_integrals(monkeypatch)
+    base = w9.curve_Qs(S_SQUARE)
+    for curve, layout, count in ((w9.double_cover(base), LAYOUT_COVER, 4),
+                                 (base, LAYOUT_GENUS2, 4)):
+        calls.clear()
+        period_matrix(curve, build_cycles(curve, layout))
+        assert len(calls) == count, layout
+
+
+@pytest.mark.parametrize("layout, arc", [(LAYOUT_GENUS2, 2), (LAYOUT_COVER, 0)])
+def test_real_kernel_matches_mpmath(monkeypatch, layout, arc):
+    # genus-2 arc a -> b and cover arc -c -> -b at s = 0.05 run the float64
+    # kernel sqrt(P) = A sqrt(P / P(m)); against 30-digit mpmath.quad of
+    # the positive ratio, divided by the same anchor A
+    base = w9.curve_Qs(0.05)
+    curve = base if layout == LAYOUT_GENUS2 else w9.double_cover(base)
+    path = build_cycles(curve, layout).arcs[arc]
+    monkeypatch.setattr(periods, "_sqrt_p_on_nodes", None)  # not the complex kernel
+    got = arc_integrals(curve, path)
+    z0, z1 = path.start.real, path.end.real
+    anchor = _principal_anchor(curve.branch_points, 0.5 * (path.start + path.end))
+    with mpmath.workdps(30):
+        roots = [mpmath.mpc(r.real, r.imag) for r in curve.branch_points]
+        m = (mpmath.mpf(z0) + mpmath.mpf(z1)) / 2
+        Pm = mpmath.fprod(m - r for r in roots)
+        ref = np.array([complex(mpmath.quad(
+            lambda x: x ** (k - 1)
+            / mpmath.sqrt(mpmath.re(mpmath.fprod(x - r for r in roots) / Pm)),
+            [mpmath.mpf(z0), mpmath.mpf(z1)])) for k in range(1, curve.genus + 1)])
+    ref = ref / anchor
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
