@@ -10,18 +10,19 @@ integer combination of finite arcs only.
 Orientation convention: each arc is integrated from its start to its end
 point, in the order build_cycles lists the arcs, and the square root on
 it is anchored at the arc midpoint by the principal-branch product
-prod_j sqrt(x - x_j), then extended along the arc by continuity
-tracking.  On the real axis approached from above this product is the
-unique determination that is continuous on the upper half-plane, so the
-anchors of all real arcs are consistent without any per-arc sign.  The
-convention reproduces the exactly known period matrices of the
+prod_j sqrt(x - x_j), then extended along the arc by continuity:
+tracked node to node on a tanh-sinh arc, a product of continuous factors
+on a Gauss-Chebyshev arc (see below).  On the real axis approached from
+above this product is the unique determination that is continuous on the
+upper half-plane, so the anchors of all real arcs are consistent without
+any per-arc sign.  The convention reproduces the exactly known period matrices of the
 3-square-tiled surface (s = 2 - sqrt(3)) and tau = i for y^2 = x^3 - x;
 test_period_matrix_genus2_fixture, test_period_matrix_cover_fixture,
 test_period_ratio_elliptic and acceptance criteria 3 and 8 pin it, and the
 chain-tracking test in tests/test_periods.py checks that the midpoint
 anchors of the genus-2 arcs agree with continuation between arcs.
 
-Conjugate half: an arc from z0 to conj(z0), on a curve whose branch
+Conjugate half (tanh-sinh): an arc from z0 to conj(z0), on a curve whose branch
 points are closed under conjugation, is integrated from z0 to its real
 midpoint m only, with the square root anchored at m to the same
 principal product A.  As P(conj x) = conj P(x), the root on the other
@@ -45,7 +46,7 @@ unit.  period_matrices integrates arc i and derives arc j: on the cover
 the arcs -c -> -b and -b -> -a give b -> c and a -> b.  The mirror of an
 arc has the clearance of the arc, so no clearance check is lost.
 
-Real arcs: on a real arc of a conjugation-closed curve P is real and
+Real arcs (tanh-sinh): on a real arc of a conjugation-closed curve P is real and
 nonzero, so P(x) / P(m) is positive on the whole arc and the continuous
 root is sqrt(P(x)) = A * sqrt(P(x) / P(m)), a constant phase A times a
 positive float64 function.  No sign table is needed.  The end-point
@@ -54,11 +55,49 @@ gives (x - r) / (m - r) and a conjugate pair r, conj(r) gives
 |x - r|^2 / |m - r|^2.  This covers all genus-2 arcs and the cover's
 arcs -c -> -b and -b -> -a; the cover's arcs through +-i keep the
 complex tracked root.
+
+Gauss-Chebyshev arcs: put x = m + h u on the arc from z0 to z1, with
+m = (z0 + z1) / 2 and h = (z1 - z0) / 2.  Over the foreign branch points r
+(all but z0 and z1), c_r = h / (m - r) gives x - r = (m - r)(1 + c_r u),
+so P(x) = P(m) (1 - u^2) prod_r (1 + c_r u) and P(m) = A^2 for the
+midpoint anchor A.  For u in [-1, 1] each factor 1 + c_r u runs along a
+straight segment through 1 (at u = 0).  Such a segment meets the closed
+negative real axis only if it passes through 0, that is, only if r lies
+on the arc, which the clearance test refuses.  So each principal root
+sqrt(1 + c_r u) is continuous on the arc and equals 1 at the midpoint, and
+the root anchored at m to A is A sqrt(1 - u^2) prod_r sqrt(1 + c_r u),
+with no sign tracking.  Hence
+I_k = (h / A) int x^(k-1) / prod_r sqrt(1 + c_r u) du / sqrt(1 - u^2),
+the Gauss-Chebyshev weight: with u_j = cos((2j - 1) pi / (2N)),
+I_k ~ (h / A) (pi / N) sum_j x_j^(k-1) / prod_r sqrt(1 + c_r u_j).  The
+integrand is analytic inside the Bernstein ellipse through the nearest
+foreign root, rho = min_r |u_r + sqrt(u_r^2 - 1)| with u_r = (r - m) / h
+and the root on u_r's side (Re(conj(u_r) sqrt) >= 0; the other one
+cancels for a root far along the arc's line), so the error falls like
+rho^(-2N) and N = ceil(ln(1e15) / (2 ln rho)) is known before any
+evaluation (Molin and Neurohr, Math. Comp. 88 (2019), arXiv:1707.07249).
+arc_integrals rounds N up to a multiple of 8, so that the node sets it
+caches are few (69, 155 KB, against 546 and 1.2 MB for every N from 8
+to 553), and takes this rule while N <= 553, tanh-sinh's node count at
+level MIN_LEVEL + 1, the fewest any tanh-sinh arc evaluates; a larger N,
+or a rho that rounds to 1, goes to tanh-sinh, and QuadConfig.tol governs
+those arcs only.  In floating point 1 + c_r u is evaluated as
+(x - r) / (m - r), with x formed from the end point nearer 0
+(z0 + h (1 + u) or z1 - h (1 - u)), so that x and x - r keep their
+relative accuracy beside that end: m + h u lost 1.4e-14 on the genus-2 arc
+from b to c at s = 0.5.  On a real arc of a conjugation-closed curve every
+factor is positive, or a conjugate pair's |x - r|^2 / |m - r|^2, so the
+root is A sqrt(1 - u^2) sqrt(prod_r |x - r| / prod_r |m - r|), a product
+of float64 moduli.  The per-root loop that finds rho also runs the
+clearance test: r lies on the ellipse rho_r, at least
+|h| (rho_r - 1)^2 / (2 rho_r) from the arc, so the segment distance is
+computed only where that bound does not already clear it twice over.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -66,12 +105,17 @@ import numpy as np
 
 from .errors import (AccuracyError, DegeneracyError, LayoutError,
                      ParameterError, PathError)
-from .quadrature import (DEFAULT_QUAD, MIN_LEVEL, QuadConfig, integrate_levels,
-                         tanh_sinh_nodes)
+from .quadrature import (DEFAULT_QUAD, MIN_LEVEL, QuadConfig, chebyshev_nodes,
+                         integrate_levels, tanh_sinh_nodes)
 from .siegel import is_riemann_matrix, lu_solve
 
 MIN_ROOT_SEPARATION = 1e-12
 CLEARANCE_FACTOR = 1e-3
+# Gauss-Chebyshev arcs: N nodes for an error of rho^(-2N) <= 1e-15, rounded
+# up to a multiple of 8 so that at most 69 node sets are ever cached, taken
+# while N is at most the fewest nodes a tanh-sinh arc evaluates (level 6)
+CHEBYSHEV_LOG_TARGET = math.log(1e15)
+CHEBYSHEV_MAX_NODES = len(tanh_sinh_nodes(MIN_LEVEL + 1)[0])
 
 LAYOUT_GENUS2 = "real_mcurve_genus2"
 LAYOUT_COVER = "cover_genus3"
@@ -174,20 +218,6 @@ def _segment_distance(z0: complex, z1: complex, p: complex) -> float:
     return abs(p - (z0 + t * d))
 
 
-def _check_clearance(curve: HyperellipticCurve, path: ArcPath) -> None:
-    clear = curve.clearance()
-    for r in curve.branch_points:
-        if abs(r - path.start) <= MIN_ROOT_SEPARATION:
-            continue
-        if abs(r - path.end) <= MIN_ROOT_SEPARATION:
-            continue
-        if _segment_distance(path.start, path.end, r) < clear:
-            raise PathError(
-                f"arc {path.start}->{path.end} passes within {clear:g} "
-                f"of branch point {r}"
-            )
-
-
 def _track_signs(w: np.ndarray, anchor_index: int,
                  anchor_value: complex) -> np.ndarray:
     """Sign table making the square-root samples w continuous from the anchor."""
@@ -253,6 +283,12 @@ def _moments(x: np.ndarray, f: np.ndarray, kmax: int) -> np.ndarray:
     return np.array(sums)
 
 
+def _real_arc(curve: HyperellipticCurve, path: ArcPath) -> bool:
+    """True iff the arc lies on the real axis and the branch points are
+    closed under conjugation."""
+    return path.start.imag == 0 == path.end.imag and curve.closed_under_conjugation
+
+
 def _conjugate_ends(curve: HyperellipticCurve, path: ArcPath) -> bool:
     """True iff the arc's ends are a conjugate pair off the real axis and
     the branch points are closed under conjugation."""
@@ -264,13 +300,75 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath,
                   quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Integrals of x^(k-1) dx / sqrt(P) along the arc for k = 1..genus.
 
+    Refuses an arc that passes within the curve's clearance of a foreign
+    branch point, then predicts the Gauss-Chebyshev node count N from the
+    nearest foreign branch point, rounded up to a multiple of 8.  If N is
+    at most tanh-sinh's node count at level MIN_LEVEL + 1 the arc takes
+    that rule, else _tanh_sinh_integrals.  See the module docstring for
+    both.
+    """
+    z0, z1 = path.start, path.end
+    m, h = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
+    clear = curve.clearance()
+    rho = math.inf
+    foreign = []
+    for r in curve.branch_points:
+        if abs(r - z0) <= MIN_ROOT_SEPARATION or abs(r - z1) <= MIN_ROOT_SEPARATION:
+            continue
+        u = (r - m) / h
+        # the root of u^2 - 1 on u's side, so |u + root| >= 1 without cancellation
+        root = cmath.sqrt(u * u - 1.0)
+        if (u.conjugate() * root).real < 0:
+            root = -root
+        rho_r = abs(u + root)
+        # r is on the Bernstein ellipse rho_r, at least |h| (rho_r - 1)^2 / (2 rho_r)
+        # from the arc; the exact distance decides where that is below 2 clear
+        if (abs(h) * (rho_r - 1.0) ** 2 < 4.0 * clear * rho_r
+                and _segment_distance(z0, z1, r) < clear):
+            raise PathError(
+                f"arc {z0}->{z1} passes within {clear:g} of branch point {r}"
+            )
+        rho = min(rho, rho_r)
+        foreign.append(r)
+    if rho > 1.0:
+        n = 8 * math.ceil(CHEBYSHEV_LOG_TARGET / (2.0 * math.log(rho)) / 8)
+        if n <= CHEBYSHEV_MAX_NODES:
+            return _chebyshev_integrals(curve, path, n, foreign)
+    return _tanh_sinh_integrals(curve, path, quad)
+
+
+def _chebyshev_integrals(curve: HyperellipticCurve, path: ArcPath, n: int,
+                         foreign: list[complex]) -> np.ndarray:
+    """arc_integrals by the n-node Gauss-Chebyshev rule, foreign being the
+    branch points other than the arc's ends (see the module docstring)."""
+    z0, z1 = path.start, path.end
+    m, h = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
+    scale = h * math.pi / (n * _principal_anchor(curve.branch_points, m))
+    one_minus, one_plus = chebyshev_nodes(n)
+    real = _real_arc(curve, path)
+    if real:
+        z0, z1, h = z0.real, z1.real, h.real
+    # from the end point nearer 0, where x and x - r then keep their accuracy
+    x = z0 + h * one_plus if abs(z0) <= abs(z1) else z1 - h * one_minus
+    if real:
+        f = np.abs(np.subtract.outer(x, foreign)).prod(axis=1) ** -0.5
+        scale *= math.sqrt(math.prod(abs(m - r) for r in foreign))
+    else:
+        f = 1.0 / np.sqrt(np.subtract.outer(x, foreign)
+                          / np.subtract(m, foreign)).prod(axis=1)
+    return scale * _moments(x, f, curve.genus)
+
+
+def _tanh_sinh_integrals(curve: HyperellipticCurve, path: ArcPath,
+                         quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+    """arc_integrals by nested tanh-sinh levels, stopping at quad.tol.
+
     A real arc of a conjugation-closed curve runs the float64 kernel
     sqrt(P) = A * sqrt(P / P(m)).  An arc with conjugate ends on such a
     curve is integrated over its upper half only, from its start to its
     real midpoint m, with sqrt(P) anchored at m; the other half is
     -sigma * conj of it.  See the module docstring for both.
     """
-    _check_clearance(curve, path)
     pts, g = curve.branch_points, curve.genus
     if _conjugate_ends(curve, path):
         m = complex(path.start.real)
@@ -281,7 +379,7 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath,
         return upper - sigma * upper.conj()
     anchor = _principal_anchor(pts, 0.5 * (path.start + path.end))
     half = 0.5 * (path.end - path.start)
-    if path.start.imag == 0 == path.end.imag and curve.closed_under_conjugation:
+    if _real_arc(curve, path):
         return _nested_integrals(partial(_real_root_on_nodes, curve, path), g,
                                  half / anchor, quad)
     return _nested_integrals(_tracked_root(curve, path, anchor, False), g, half, quad)

@@ -1,4 +1,4 @@
-"""Tanh-sinh (double-exponential) quadrature on straight complex segments.
+"""Tanh-sinh and Gauss-Chebyshev quadrature on straight complex segments.
 
 The substitution u = tanh((pi/2) sinh(t)) absorbs inverse-square-root
 endpoint singularities, which is exactly what the abelian arc integrals
@@ -12,6 +12,12 @@ The levels nest: |j*h| <= 4.3125 = 138/32 is a whole number of steps at
 every level from 5 on, so the nodes of level L are exactly the even nodes
 of level L+1 and w_L == 2 * w_{L+1}[::2] bit for bit.  A caller can then
 evaluate each new level at its odd nodes only and halve the previous sum.
+
+chebyshev_nodes gives the Gauss-Chebyshev rule for the weight
+1 / sqrt(1 - u^2), with the same stable 1 -+ u.  Its node count follows
+a priori from the integrand's nearest singularity, so it has no levels
+and no tolerance; periods.arc_integrals takes it where that count is at
+most the 553 nodes of level MIN_LEVEL + 1.
 """
 
 from __future__ import annotations
@@ -63,6 +69,23 @@ def tanh_sinh_nodes(level: int):
     one_plus = 2.0 / (np.exp(-2.0 * v) + 1.0)
     w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(v) ** 2
     return u, one_minus, one_plus, w
+
+
+@lru_cache(maxsize=None)
+def chebyshev_nodes(n: int):
+    """The n Gauss-Chebyshev nodes u_j = cos((2j - 1) pi / (2n)), j = 1..n.
+
+    Returns (one_minus_u, one_plus_u), stable near the end points:
+    1 - u_j = 2 sin^2((2j - 1) pi / (4n)), of an argument in (0, pi / 2),
+    and 1 + u_j is the same array reversed (u_{n+1-j} = -u_j), a view.
+    The rule (pi / n) sum_j f(u_j) integrates f(u) / sqrt(1 - u^2) over
+    [-1, 1]; its error falls like rho^(-2n) for f analytic inside the
+    Bernstein ellipse with parameter rho.  Every n asked is kept: periods
+    asks only for multiples of 8 up to 552, at most 155 KB in all.
+    """
+    half_angles = (2 * np.arange(1, n + 1) - 1) * (0.25 * math.pi / n)
+    one_minus = 2.0 * np.sin(half_angles) ** 2
+    return one_minus, one_minus[::-1]
 
 
 def integrate_levels(eval_terms, cfg: QuadConfig = DEFAULT_QUAD):

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import S_SQUARE, Z1, ZHAT1, agm
 from w9periods import periods, w9
-from w9periods.errors import (DegeneracyError, LayoutError, ParameterError,
-                              PathError)
+from w9periods.errors import (AccuracyError, DegeneracyError, LayoutError,
+                              ParameterError, PathError)
 from w9periods.periods import (CLEARANCE_FACTOR, LAYOUT_COVER, LAYOUT_ELLIPTIC,
                                LAYOUT_GENUS2, MIN_ROOT_SEPARATION, ArcPath,
                                HyperellipticCurve, _principal_anchor,
@@ -123,7 +123,7 @@ def _full_level_estimate(curve, path, level):
 
 
 def _nested_levels(monkeypatch, curve, path):
-    """The nested estimates of arc_integrals at every level MIN..MAX_LEVEL."""
+    """The nested estimates of the tanh-sinh body at every level MIN..MAX_LEVEL."""
     seen = []
 
     def every_level(eval_terms, cfg):
@@ -132,7 +132,8 @@ def _nested_levels(monkeypatch, curve, path):
         return seen[-1]
 
     monkeypatch.setattr(periods, "integrate_levels", every_level)
-    arc_integrals(curve, path)
+    periods._tanh_sinh_integrals(curve, path)
+    assert len(seen) == MAX_LEVEL - MIN_LEVEL + 1 == 8
     return seen
 
 
@@ -150,7 +151,7 @@ def test_nested_levels_match_full_evaluation(monkeypatch, s):
 
 
 def _record_levels(monkeypatch):
-    """Lists filled by arc_integrals: the node counts sampled and levels run."""
+    """Lists filled by the tanh-sinh body: the node counts sampled and levels run."""
     sampled = []
     levels = []
     drive = periods.integrate_levels
@@ -181,7 +182,7 @@ def test_nested_levels_evaluate_each_node_once(monkeypatch):
     for path in (ArcPath(0.0, 1.0), ArcPath(-1.0, 0.0)):
         sampled.clear()
         levels.clear()
-        arc_integrals(curve, path)
+        periods._tanh_sinh_integrals(curve, path)
         stop = levels[-1]
         stops.add(stop)
         assert sum(sampled) == len(tanh_sinh_nodes(stop)[0]), (path, stop)
@@ -194,7 +195,7 @@ def test_cover_arc_i_to_minus_i_stops_at_level_6(monkeypatch, s):
     # the near-singularity between -a and a sits at the half-arc's end,
     # where the tanh-sinh nodes crowd
     sampled, levels = _record_levels(monkeypatch)
-    arc_integrals(w9.double_cover(w9.curve_Qs(s)), ArcPath(1j, -1j))
+    periods._tanh_sinh_integrals(w9.double_cover(w9.curve_Qs(s)), ArcPath(1j, -1j))
     assert levels[-1] == 6
     assert sum(sampled) == len(tanh_sinh_nodes(6)[0])
 
@@ -297,14 +298,14 @@ def test_period_matrix_arc_count(monkeypatch):
 
 @pytest.mark.parametrize("layout, arc", [(LAYOUT_GENUS2, 2), (LAYOUT_COVER, 0)])
 def test_real_kernel_matches_mpmath(monkeypatch, layout, arc):
-    # genus-2 arc a -> b and cover arc -c -> -b at s = 0.05 run the float64
-    # kernel sqrt(P) = A sqrt(P / P(m)); against 30-digit mpmath.quad of
-    # the positive ratio, divided by the same anchor A
+    # on genus-2 arc a -> b and cover arc -c -> -b at s = 0.05 the tanh-sinh
+    # body runs the float64 kernel sqrt(P) = A sqrt(P / P(m)); against
+    # 30-digit mpmath.quad of the positive ratio, divided by the same anchor A
     base = w9.curve_Qs(0.05)
     curve = base if layout == LAYOUT_GENUS2 else w9.double_cover(base)
     path = build_cycles(curve, layout).arcs[arc]
     monkeypatch.setattr(periods, "_sqrt_p_on_nodes", None)  # not the complex kernel
-    got = arc_integrals(curve, path)
+    got = periods._tanh_sinh_integrals(curve, path)
     z0, z1 = path.start.real, path.end.real
     anchor = _principal_anchor(curve.branch_points, 0.5 * (path.start + path.end))
     with mpmath.workdps(30):
@@ -337,6 +338,133 @@ def test_genus2_arcs_match_mpmath_at_cusps(s):
                     [mpmath.mpf(path.start.real), mpmath.mpf(path.end.real)]))
                 err = min(abs(got[k - 1] - e * ref) for e in (1, -1, 1j, -1j))
                 assert err <= 1e-10 * abs(ref), (s, i, k)
+
+
+def _count_tanh_sinh(monkeypatch):
+    """The integrate_levels calls: one per arc that goes to tanh-sinh."""
+    calls = []
+    drive = periods.integrate_levels
+
+    def counting(eval_terms, cfg):
+        calls.append(cfg)
+        return drive(eval_terms, cfg)
+
+    monkeypatch.setattr(periods, "integrate_levels", counting)
+    return calls
+
+
+def _chebyshev_reference(curve, path):
+    """30-digit mpmath.quad of the arc's Gauss-Chebyshev integrand,
+    (h / A) x^(k-1) / prod_r sqrt(1 + c_r u) against du / sqrt(1 - u^2),
+    from the exact branch points.  It runs over u = cos(theta), split at
+    the angle of each foreign root whose u_r has |Re u_r| < 1."""
+    anchor = _principal_anchor(curve.branch_points, 0.5 * (path.start + path.end))
+    with mpmath.workdps(30):
+        z0, z1 = (mpmath.mpc(z.real, z.imag) for z in (path.start, path.end))
+        m, h = (z0 + z1) / 2, (z1 - z0) / 2
+        cs = [h / (m - mpmath.mpc(r.real, r.imag)) for r in curve.branch_points
+              if r not in (path.start, path.end)]
+        cuts = {mpmath.acos(-mpmath.re(1 / c)) for c in cs if abs(mpmath.re(1 / c)) < 1}
+        memo = {}
+
+        def weight(theta):  # h / prod_r sqrt(1 + c_r u), once per node
+            if theta not in memo:
+                u = mpmath.cos(theta)
+                memo[theta] = u, h / mpmath.fprod(mpmath.sqrt(1 + c * u) for c in cs)
+            return memo[theta]
+
+        def moment(k):
+            def f(theta):
+                u, w = weight(theta)
+                return (m + h * u) ** (k - 1) * w
+            return f
+
+        ref = [complex(mpmath.quad(moment(k), sorted(cuts | {0, mpmath.pi})))
+               for k in range(1, curve.genus + 1)]
+    return np.array(ref) / anchor
+
+
+@pytest.mark.parametrize("s", [0.005, 0.05, S_SQUARE, 0.5, 0.57])
+def test_chebyshev_arcs_match_mpmath(monkeypatch, s):
+    # every integrated arc with N <= 553 nodes (arcs 0 to 3 of both layouts;
+    # the cover derives arcs 5 and 6 from their mirror images)
+    calls = _count_tanh_sinh(monkeypatch)
+    base = w9.curve_Qs(s)
+    checked = 0
+    for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
+        plan = build_cycles(curve, layout)
+        for i in range(4):
+            calls.clear()
+            got = arc_integrals(curve, plan.arcs[i])
+            if calls:
+                continue
+            ref = _chebyshev_reference(curve, plan.arcs[i])
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (s, layout, i)
+            checked += 1
+    assert checked >= 5
+
+
+def test_chebyshev_work_counter(monkeypatch):
+    # work counter: integrate_levels runs once per arc that goes to tanh-sinh
+    calls = _count_tanh_sinh(monkeypatch)
+    base = w9.curve_Qs(S_SQUARE)
+    for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
+        period_matrix(curve, build_cycles(curve, layout))
+    assert calls == []
+    # next to the low cusp: genus-2 arcs -1 -> 0 and a -> b, cover arc i -> -i
+    base = w9.curve_Qs(0.005)
+    for curve, layout, deep in ((base, LAYOUT_GENUS2, [0, 2]),
+                                (w9.double_cover(base), LAYOUT_COVER, [3])):
+        plan = build_cycles(curve, layout)
+        calls.clear()
+        period_matrix(curve, plan)
+        assert len(calls) == len(deep), layout
+        went = []
+        for i in range(4):
+            calls.clear()
+            arc_integrals(curve, plan.arcs[i])
+            if calls:
+                went.append(i)
+        assert went == deep, layout
+
+
+@pytest.mark.parametrize("s", [0.005, 0.05, S_SQUARE, 0.5, 0.57])
+def test_period_matrix_matches_tanh_sinh_only(monkeypatch, s):
+    base = w9.curve_Qs(s)
+    layouts = ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER))
+    hybrid = [period_matrix(curve, build_cycles(curve, layout))
+              for curve, layout in layouts]
+    monkeypatch.setattr(periods, "arc_integrals", periods._tanh_sinh_integrals)
+    for (curve, layout), Z in zip(layouts, hybrid):
+        ref = period_matrix(curve, build_cycles(curve, layout))
+        assert np.abs(Z - ref).max() <= 1e-13 * np.abs(ref).max(), layout
+
+
+def test_low_cusp_failures_stay_accuracy_errors():
+    # rho takes the root of u_r^2 - 1 on u_r's side: the other one cancels
+    # for a root far along the arc's line (ZeroDivisionError at rho = 0, an
+    # underestimated N otherwise); the genus-2 arc a -> b still fails at
+    # the same 7 of these s, all at or below 2.3e-4
+    failed = []
+    for s in np.geomspace(1.5e-4, 3e-3, 400):
+        base = w9.curve_Qs(s)
+        cover = w9.double_cover(base)
+        try:
+            for curve, layout in ((base, LAYOUT_GENUS2), (cover, LAYOUT_COVER)):
+                period_matrix(curve, build_cycles(curve, layout))
+        except AccuracyError:
+            failed.append(s)
+    assert len(failed) == 7 and max(failed) < 2.31e-4
+
+
+def test_rho_rounding_to_one_goes_to_tanh_sinh(monkeypatch):
+    # on the arc -1e5 -> 0, u_r of the root 2e-12 is (2e-12 + 5e4) / 5e4,
+    # 1.0 exactly: rho = 1, for which no node count exists
+    calls = _count_tanh_sinh(monkeypatch)
+    curve = HyperellipticCurve((-1e5, 0.0, 2e-12, 1.0))
+    with pytest.raises(AccuracyError):
+        arc_integrals(curve, ArcPath(-1e5, 0.0))
+    assert len(calls) == 1
 
 
 def test_build_cycles_layouts():

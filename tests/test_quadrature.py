@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from w9periods.errors import AccuracyError, ParameterError
-from w9periods.quadrature import (DEFAULT_QUAD, QuadConfig, integrate_levels,
-                                  tanh_sinh_nodes)
+from w9periods.quadrature import (DEFAULT_QUAD, QuadConfig, chebyshev_nodes,
+                                  integrate_levels, tanh_sinh_nodes)
 
 
 def test_config_validation():
@@ -48,6 +48,22 @@ def test_levels_nest():
         assert np.array_equal(one_minus, one_minus1[::2])
         assert np.array_equal(one_plus, one_plus1[::2])
         assert np.array_equal(w, 2 * w1[::2])
+
+
+@pytest.mark.parametrize("n", [8, 33, 553])
+def test_chebyshev_nodes(n):
+    one_minus, one_plus = chebyshev_nodes(n)
+    u = np.cos((2 * np.arange(1, n + 1) - 1) * math.pi / (2 * n))
+    assert np.abs(one_plus - (1.0 + u)).max() < 1e-15
+    assert np.abs(one_minus - (1.0 - u)).max() < 1e-15
+    # stable at the end nodes: 1 -+ u = 2 sin^2(pi / (4n)) to rounding at u_1, u_n
+    end = 2 * math.sin(math.pi / (4 * n)) ** 2
+    assert abs(one_minus[0] / end - 1) < 1e-15 and abs(one_plus[-1] / end - 1) < 1e-15
+    # exact for u^(2i), i < n: integral of u^(2i) / sqrt(1 - u^2) is
+    # pi (2i)! / (2^i i!)^2
+    for i in range(4):
+        exact = math.pi * math.factorial(2 * i) / (2**i * math.factorial(i)) ** 2
+        assert abs(math.pi / n * np.sum((one_plus - 1.0) ** (2 * i)) - exact) < 1e-14
 
 
 def test_weights_integrate_constant():
