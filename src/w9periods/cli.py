@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__, geodesic, periods, w9
 from .errors import W9Error
-from .quadrature import QuadConfig
 from .siegel import min_eig_im
 from .theta import (DEFAULT_POLICY, ThetaCharacteristic, parity, theta_char,
                     truncation_radius)
@@ -162,12 +161,6 @@ def emit(args, payload: dict, csv_text: str | None = None) -> None:
 # subcommands
 
 
-def _meta(args, *applied: str) -> dict:
-    """The settings the command applied, named in `applied`, and the version."""
-    return {**{name: getattr(args, name) for name in applied},
-            "version": __version__}
-
-
 def _base_curve_from_args(args) -> periods.HyperellipticCurve:
     if args.s is not None:
         return w9.curve_Qs(parse_real(args.s, "--s"))
@@ -195,12 +188,11 @@ def cmd_periods(args) -> int:
         raise UsageError(f"{args.basis} basis needs exactly {count} roots")
     if args.basis == "cover":
         curve = w9.double_cover(curve)
-    M = periods.period_matrix(curve, periods.build_cycles(curve, layout),
-                              QuadConfig(tol=args.quad_tol))
+    M = periods.period_matrix(curve, periods.build_cycles(curve, layout))
     # the cover also emits the base matrix it determines, first
     payload = ({"Z": encode_value(w9.base_from_cover(M)), "Zhat": encode_value(M)}
                if args.basis == "cover" else {"Z": encode_value(M)})
-    emit(args, {**payload, "metadata": _meta(args, "quad_tol")}, matrix_csv(M))
+    emit(args, {**payload, "metadata": {"version": __version__}}, matrix_csv(M))
     return 0
 
 
@@ -229,7 +221,7 @@ def cmd_theta(args) -> int:
         "parity": parity(ch),
         "truncation_radius": radius,
         "tail_bound": DEFAULT_POLICY.tail_tol,
-        "metadata": _meta(args),
+        "metadata": {"version": __version__},
     }
     emit(args, payload)
     return 0
@@ -267,12 +259,12 @@ def cmd_trace(args) -> int:
     # the NaN values of a failed point are written as JSON null
     points = [{k: v if k == "flags" or math.isfinite(v) else None
                for k, v in r.items()} for r in rows]
-    emit(args, {"points": points, "metadata": _meta(args)},
+    emit(args, {"points": points, "metadata": {"version": __version__}},
          "\n".join(lines) + "\n")
     return 2 if any(p.flags and p.flags[0].startswith("error:") for p in pts) else 0
 
 
-def _verify_one(s: float, args) -> tuple[list[dict], bool]:
+def _verify_one(s: float) -> tuple[list[dict], bool]:
     tol = 1e-6
     checks = []
 
@@ -282,12 +274,11 @@ def _verify_one(s: float, args) -> tuple[list[dict], bool]:
         return ok
 
     curve = w9.curve_Qs(s)  # first, so an s out of range is the error reported
-    quad = QuadConfig(tol=args.quad_tol)
     cover = w9.double_cover(curve)
     Zhat = periods.period_matrix(
-        cover, periods.build_cycles(cover, periods.LAYOUT_COVER), quad)
+        cover, periods.build_cycles(cover, periods.LAYOUT_COVER))
     Z2 = periods.period_matrix(
-        curve, periods.build_cycles(curve, periods.LAYOUT_GENUS2), quad)
+        curve, periods.build_cycles(curve, periods.LAYOUT_GENUS2))
     shape = w9.cover_shape_extract(Zhat, tol)
     record("cover_shape", float(np.abs(Zhat - shape.matrix()).max()))
     record("theta_membership",
@@ -312,10 +303,10 @@ def cmd_verify(args) -> int:
         s_values = list(np.linspace(0.05, 0.5, args.grid))
     all_checks, ok = [], True
     for s in s_values:
-        checks, good = _verify_one(float(s), args)
+        checks, good = _verify_one(float(s))
         all_checks.extend(checks)
         ok = ok and good
-    emit(args, {"pass": ok, "checks": all_checks, "metadata": _meta(args, "quad_tol")})
+    emit(args, {"pass": ok, "checks": all_checks, "metadata": {"version": __version__}})
     return 0 if ok else 2
 
 
@@ -386,7 +377,6 @@ def _add_global_flags(parser, suppress: bool) -> None:
     def default(v):
         return argparse.SUPPRESS if suppress else v
 
-    parser.add_argument("--quad-tol", type=float, default=default(1e-11))
     parser.add_argument("--format", choices=("json", "csv"),
                         default=default("json"))
     parser.add_argument("--out", default=default(None))

@@ -26,7 +26,7 @@ class PathError(W9Error):
 
 
 class AccuracyError(W9Error):
-    """Quadrature failed to converge to the requested tolerance."""
+    """A computed period matrix failed its accuracy check."""
 
 
 class TruncationError(W9Error):

@@ -10,28 +10,13 @@ integer combination of finite arcs only.
 Orientation convention: each arc is integrated from its start to its end
 point, in the order build_cycles lists the arcs, and the square root on
 it is anchored at the arc midpoint by the principal-branch product
-prod_j sqrt(x - x_j), then extended along the arc by continuity:
-tracked node to node on a tanh-sinh arc, a product of continuous factors
-on a Gauss-Chebyshev arc (see below).  On the real axis approached from
-above this product is the unique determination that is continuous on the
-upper half-plane, so the anchors of all real arcs are consistent without
-any per-arc sign.  The convention reproduces the exactly known period matrices of the
-3-square-tiled surface (s = 2 - sqrt(3)) and tau = i for y^2 = x^3 - x;
-test_period_matrix_genus2_fixture, test_period_matrix_cover_fixture,
-test_period_ratio_elliptic and acceptance criteria 3 and 8 pin it, and the
-chain-tracking test in tests/test_periods.py checks that the midpoint
-anchors of the genus-2 arcs agree with continuation between arcs.
-
-Conjugate half (tanh-sinh): an arc from z0 to conj(z0), on a curve whose branch
-points are closed under conjugation, is integrated from z0 to its real
-midpoint m only, with the square root anchored at m to the same
-principal product A.  As P(conj x) = conj P(x), the root on the other
-half is sigma * conj(sqrt(P(conj x))) with sigma = A / conj(A), so the
-arc integral is I = I_half - sigma * conj(I_half).  P(m) is real, so A
-is real or imaginary and sigma = +1 or -1, read off |Re A| >= |Im A|.
-This is the cover's arc from i to -i, which crosses the real axis
-between -a and a: the half puts that near-singularity at an end point,
-where the tanh-sinh nodes crowd, and stops at level 6 down to s = 1e-4.
+prod_j sqrt(x - x_j), then extended along the arc by continuity (below).
+On the real axis approached from above this product is the determination
+continuous on the upper half-plane, so the anchors of all real arcs are
+consistent without any per-arc sign.  It reproduces the exact period
+matrices of the 3-square-tiled surface (s = 2 - sqrt(3)) and tau = i for
+y^2 = x^3 - x, and test_sqrt_determination_chain checks the genus-2
+midpoint anchors against continuation between arcs.
 
 Mirror pairs: when the branch points are closed under x -> -x,
 P(-x) = (-1)^n P(x) for n = len(branch_points).  Let arc j run from z0
@@ -41,57 +26,59 @@ int_i y^(k-1) dy / S_j(-y).  S_j(-y) squares to (-1)^n P(y) and is
 continuous on arc i, so it is eps * S_i(y) for a constant eps, read off
 at the midpoints: eps = S_j(m_j) / S_i(-m_j) = A_j / A_i.  Hence
 I_j,k = (-1)^(k+1) I_i,k / eps, where eps^2 = (-1)^n makes eps = +-1 for
-even degree and +-i for odd degree (y^2 = x^3 - x); it is rounded to that
-unit.  period_matrices integrates arc i and derives arc j: on the cover
-the arcs -c -> -b and -b -> -a give b -> c and a -> b.  The mirror of an
-arc has the clearance of the arc, so no clearance check is lost.
+even degree and +-i for odd degree; it is rounded to that unit.
+period_matrices integrates arc i and derives arc j: on the cover the arcs
+-c -> -b and -b -> -a give b -> c and a -> b.  The mirror of an arc has
+the clearance of the arc, so no clearance check is lost.
 
-Real arcs (tanh-sinh): on a real arc of a conjugation-closed curve P is real and
-nonzero, so P(x) / P(m) is positive on the whole arc and the continuous
-root is sqrt(P(x)) = A * sqrt(P(x) / P(m)), a constant phase A times a
-positive float64 function.  No sign table is needed.  The end-point
-factors of the ratio are exactly one_plus and one_minus, a real root r
-gives (x - r) / (m - r) and a conjugate pair r, conj(r) gives
-|x - r|^2 / |m - r|^2.  This covers all genus-2 arcs and the cover's
-arcs -c -> -b and -b -> -a; the cover's arcs through +-i keep the
-complex tracked root.
+The integrand in theta: on the arc from z0 to z1 put x = m + h u,
+u = cos(theta), m = (z0 + z1) / 2, h = (z1 - z0) / 2.  Over the foreign
+branch points r, x - r = (m - r)(1 + c_r u), c_r = h / (m - r), so
+P(x) = A^2 (1 - u^2) prod_r (1 + c_r u), A the midpoint anchor.  For u in
+[-1, 1] each factor runs along a segment through 1, which meets the
+closed negative real axis only if r lies on the arc, which the clearance
+test refuses.  So each principal sqrt(1 + c_r u) is continuous on the
+arc, no sign needs tracking, and
+I_k = (h / A) int_0^pi x^(k-1) / prod_r sqrt(1 + c_r cos(theta)) dtheta,
+with no end-point singularity.  It is analytic but at theta_r =
+arccos(u_r), u_r = (r - m) / h, and the images -theta_r, 2 pi - theta_r;
+|Im theta_r| = ln rho_r for the Bernstein ellipse
+rho_r = |u_r + sqrt(u_r^2 - 1)| through r (the root on u_r's side,
+Re(conj(u_r) sqrt) >= 0, as the other cancels for a root far along the
+arc's line).  On a real arc of a conjugation-closed curve every factor is
+positive, or a conjugate pair's |x - r|^2 / |m - r|^2, so the root is A
+times float64 moduli.
 
-Gauss-Chebyshev arcs: put x = m + h u on the arc from z0 to z1, with
-m = (z0 + z1) / 2 and h = (z1 - z0) / 2.  Over the foreign branch points r
-(all but z0 and z1), c_r = h / (m - r) gives x - r = (m - r)(1 + c_r u),
-so P(x) = P(m) (1 - u^2) prod_r (1 + c_r u) and P(m) = A^2 for the
-midpoint anchor A.  For u in [-1, 1] each factor 1 + c_r u runs along a
-straight segment through 1 (at u = 0).  Such a segment meets the closed
-negative real axis only if it passes through 0, that is, only if r lies
-on the arc, which the clearance test refuses.  So each principal root
-sqrt(1 + c_r u) is continuous on the arc and equals 1 at the midpoint, and
-the root anchored at m to A is A sqrt(1 - u^2) prod_r sqrt(1 + c_r u),
-with no sign tracking.  Hence
-I_k = (h / A) int x^(k-1) / prod_r sqrt(1 + c_r u) du / sqrt(1 - u^2),
-the Gauss-Chebyshev weight: with u_j = cos((2j - 1) pi / (2N)),
-I_k ~ (h / A) (pi / N) sum_j x_j^(k-1) / prod_r sqrt(1 + c_r u_j).  The
-integrand is analytic inside the Bernstein ellipse through the nearest
-foreign root, rho = min_r |u_r + sqrt(u_r^2 - 1)| with u_r = (r - m) / h
-and the root on u_r's side (Re(conj(u_r) sqrt) >= 0; the other one
-cancels for a root far along the arc's line), so the error falls like
-rho^(-2N) and N = ceil(ln(1e15) / (2 ln rho)) is known before any
-evaluation (Molin and Neurohr, Math. Comp. 88 (2019), arXiv:1707.07249).
-arc_integrals rounds N up to a multiple of 8, so that the node sets it
-caches are few (69, 155 KB, against 546 and 1.2 MB for every N from 8
-to 553), and takes this rule while N <= 553, tanh-sinh's node count at
-level MIN_LEVEL + 1, the fewest any tanh-sinh arc evaluates; a larger N,
-or a rho that rounds to 1, goes to tanh-sinh, and QuadConfig.tol governs
-those arcs only.  In floating point 1 + c_r u is evaluated as
-(x - r) / (m - r), with x formed from the end point nearer 0
-(z0 + h (1 + u) or z1 - h (1 - u)), so that x and x - r keep their
-relative accuracy beside that end: m + h u lost 1.4e-14 on the genus-2 arc
-from b to c at s = 0.5.  On a real arc of a conjugation-closed curve every
-factor is positive, or a conjugate pair's |x - r|^2 / |m - r|^2, so the
-root is A sqrt(1 - u^2) sqrt(prod_r |x - r| / prod_r |m - r|), a product
-of float64 moduli.  The per-root loop that finds rho also runs the
-clearance test: r lies on the ellipse rho_r, at least
-|h| (rho_r - 1)^2 / (2 rho_r) from the arc, so the segment distance is
-computed only where that bound does not already clear it twice over.
+Gauss-Chebyshev arcs: the midpoint rule in theta, N nodes
+u_j = cos((2j - 1) pi / (2N)) of weight pi / N, errs by O(rho^(-2N)) for
+rho = min_r rho_r, so N = ceil(ln(1e15) / (2 ln rho)) is known before
+any evaluation (Molin and Neurohr, Math. Comp. 88 (2019)).  arc_integrals
+rounds N up to a multiple of 8, so that few node sets are cached, and
+takes this rule while N <= CHEBYSHEV_MAX_NODES, x formed from the end
+point nearer 0.
+
+Graded arcs: a larger N, or a rho that rounds to 1, means a root close
+to [0, pi] in theta.  Such an arc takes 12-node Gauss-Legendre panels
+graded toward the roots (Trefethen and Weideman, SIAM Rev. 56 (2014);
+Schwab, p- and hp-Finite Element Methods (1998)).  [0, pi] is cut into
+quarters, each the offset phi in [0, pi/4] from its anchor, which x and
+x - r = (anchor - r) + (x - anchor) are formed from, exact beside it:
+x = z1 - h (1 - cos phi), m + h sin phi, m - h sin phi or
+z0 + h (1 - cos phi).  theta_r comes from the exact offset of the
+nearer end, 2 asin(sqrt((z1 - r) / (2h))) or
+pi - 2 asin(sqrt((r - z0) / (2h))), as u_r + 1 rounds to 0 next to the
+far cusp.  In a quarter, a root at distance w < pi/4 sets a grading
+point p, Re phi_r clamped into the quarter and moved to its end if
+within w of it; the panels run [p, p + 2^-d l], doubling to the piece's
+end l away, for the least d with 2^-d l <= w, and several points cut
+the quarter at their midpoints.  So every panel sees every root and
+image outside its Bernstein ellipse of parameter 2 + sqrt(5) = 4.24, the
+worst cases being a root pi/4 over the middle of a panel pi/4 wide and
+one moved to an end from w/2 (over 3,436 graded arcs of the family the
+least is 4.28).  Gauss-Legendre's error on a panel of half-width delta
+is then at most (64/15) delta M 4^(-24) / 15 = 1.0e-15 delta M, M the
+bound of the integrand on the panel's ellipse of parameter 4 (Trefethen,
+ATAP, Thm. 19.3): an arc's error is at most their sum, known a priori.
 """
 
 from __future__ import annotations
@@ -99,23 +86,22 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (AccuracyError, DegeneracyError, LayoutError,
                      ParameterError, PathError)
-from .quadrature import (DEFAULT_QUAD, MIN_LEVEL, QuadConfig, chebyshev_nodes,
-                         integrate_levels, tanh_sinh_nodes)
+from .quadrature import QUARTER, chebyshev_nodes, graded_nodes
 from .siegel import is_riemann_matrix, lu_solve
 
 MIN_ROOT_SEPARATION = 1e-12
 CLEARANCE_FACTOR = 1e-3
-# Gauss-Chebyshev arcs: N nodes for an error of rho^(-2N) <= 1e-15, rounded
-# up to a multiple of 8 so that at most 69 node sets are ever cached, taken
-# while N is at most the fewest nodes a tanh-sinh arc evaluates (level 6)
+# Gauss-Chebyshev arcs: N nodes for an error of rho^(-2N) <= 1e-15, taken
+# up to the N where the graded rule becomes the faster of the two
 CHEBYSHEV_LOG_TARGET = math.log(1e15)
-CHEBYSHEV_MAX_NODES = len(tanh_sinh_nodes(MIN_LEVEL + 1)[0])
+CHEBYSHEV_MAX_NODES = 552
+_NEAR_RHO = math.exp(QUARTER)  # graded toward roots with |Im theta_r| < pi/4
 
 LAYOUT_GENUS2 = "real_mcurve_genus2"
 LAYOUT_COVER = "cover_genus3"
@@ -156,11 +142,16 @@ class HyperellipticCurve:
     def closed_under_negation(self) -> bool:
         return _closed_under(self.branch_points, lambda r: -r)
 
+    @cached_property
+    def all_real(self) -> bool:
+        return not any(r.imag for r in self.branch_points)
+
 
 def _closed_under(pts, image) -> bool:
     """True iff image(r) is a branch point, to MIN_ROOT_SEPARATION, for all r."""
-    return all(min(abs(q - p) for q in pts) <= MIN_ROOT_SEPARATION
-               for p in map(image, pts))
+    pts = np.array(pts)
+    return bool(np.abs(np.subtract.outer(image(pts), pts)).min(axis=1).max()
+                <= MIN_ROOT_SEPARATION)
 
 
 @dataclass(frozen=True)
@@ -218,17 +209,6 @@ def _segment_distance(z0: complex, z1: complex, p: complex) -> float:
     return abs(p - (z0 + t * d))
 
 
-def _track_signs(w: np.ndarray, anchor_index: int,
-                 anchor_value: complex) -> np.ndarray:
-    """Sign table making the square-root samples w continuous from the anchor."""
-    ratio_flip = np.where((w[1:] / w[:-1]).real < 0, -1.0, 1.0)
-    cum = np.concatenate(([1.0], np.cumprod(ratio_flip)))
-    signs = cum / cum[anchor_index]
-    if abs(w[anchor_index] - anchor_value) > abs(w[anchor_index] + anchor_value):
-        signs = -signs
-    return signs
-
-
 def _principal_anchor(roots, x0: complex) -> complex:
     val = complex(1.0)
     for r in roots:
@@ -236,82 +216,32 @@ def _principal_anchor(roots, x0: complex) -> complex:
     return val
 
 
-def _sqrt_p_on_nodes(curve: HyperellipticCurve, path: ArcPath,
-                     u, one_minus, one_plus):
-    """Stable node positions x and the principal (untracked) sqrt(P) there."""
-    z0, z1 = path.start, path.end
-    half = 0.5 * (z1 - z0)
-    x = 0.5 * (z1 + z0) + half * u
-    P = np.ones(len(u), dtype=complex)
-    for r in curve.branch_points:
-        if abs(r - z0) <= MIN_ROOT_SEPARATION:
-            P *= half * one_plus
-        elif abs(r - z1) <= MIN_ROOT_SEPARATION:
-            P *= -half * one_minus
-        else:
-            P *= x - r
-    return x, np.sqrt(P)
-
-
-def _real_root_on_nodes(curve: HyperellipticCurve, path: ArcPath,
-                        u, one_minus, one_plus):
-    """Real node positions x and sqrt(P(x) / P(m)) there, m the midpoint,
-    for a real arc of a conjugation-closed curve (see the module docstring)."""
-    z0, z1 = path.start.real, path.end.real
-    m = 0.5 * (z1 + z0)
-    x = m + 0.5 * (z1 - z0) * u
-    R = one_plus * one_minus
-    scale = 1.0
-    for r in curve.branch_points:
-        if abs(r - z0) <= MIN_ROOT_SEPARATION or abs(r - z1) <= MIN_ROOT_SEPARATION:
-            continue
-        if abs(r.imag) <= MIN_ROOT_SEPARATION:
-            R *= x - r.real
-            scale *= m - r.real
-        elif r.imag > 0:  # with its conjugate, which the curve holds too
-            R *= (x - r.real) ** 2 + r.imag ** 2
-            scale *= abs(m - r) ** 2
-    return x, np.sqrt(R / scale)
-
-
 def _moments(x: np.ndarray, f: np.ndarray, kmax: int) -> np.ndarray:
     """Sums of f * x^(k-1) for k = 1..kmax, powers by running product."""
-    sums = [f.sum()]
-    for _ in range(kmax - 1):
-        f = f * x
-        sums.append(f.sum())
-    return np.array(sums)
+    terms = np.empty((kmax, len(x)), dtype=np.result_type(x, f))
+    terms[0] = f
+    for k in range(1, kmax):
+        np.multiply(terms[k - 1], x, out=terms[k])
+    return terms.sum(axis=1)
 
 
 def _real_arc(curve: HyperellipticCurve, path: ArcPath) -> bool:
-    """True iff the arc lies on the real axis and the branch points are
-    closed under conjugation."""
+    """True iff the arc is real and the branch points closed under conjugation."""
     return path.start.imag == 0 == path.end.imag and curve.closed_under_conjugation
 
 
-def _conjugate_ends(curve: HyperellipticCurve, path: ArcPath) -> bool:
-    """True iff the arc's ends are a conjugate pair off the real axis and
-    the branch points are closed under conjugation."""
-    return (path.start.imag != 0 and path.end == path.start.conjugate()
-            and curve.closed_under_conjugation)
-
-
-def arc_integrals(curve: HyperellipticCurve, path: ArcPath,
-                  quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+def arc_integrals(curve: HyperellipticCurve, path: ArcPath) -> np.ndarray:
     """Integrals of x^(k-1) dx / sqrt(P) along the arc for k = 1..genus.
 
-    Refuses an arc that passes within the curve's clearance of a foreign
-    branch point, then predicts the Gauss-Chebyshev node count N from the
-    nearest foreign branch point, rounded up to a multiple of 8.  If N is
-    at most tanh-sinh's node count at level MIN_LEVEL + 1 the arc takes
-    that rule, else _tanh_sinh_integrals.  See the module docstring for
-    both.
-    """
+    Refuses an arc within the curve's clearance of a foreign branch point,
+    then takes Gauss-Chebyshev with N nodes if N <= CHEBYSHEV_MAX_NODES,
+    else the graded rule (see the module docstring for both)."""
     z0, z1 = path.start, path.end
     m, h = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
     clear = curve.clearance()
     rho = math.inf
     foreign = []
+    near = []  # (r, u_r) of the foreign roots with |Im theta_r| = ln(rho_r) < QUARTER
     for r in curve.branch_points:
         if abs(r - z0) <= MIN_ROOT_SEPARATION or abs(r - z1) <= MIN_ROOT_SEPARATION:
             continue
@@ -330,123 +260,131 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath,
             )
         rho = min(rho, rho_r)
         foreign.append(r)
+        if rho_r < _NEAR_RHO:
+            near.append((r, u))
     if rho > 1.0:
         n = 8 * math.ceil(CHEBYSHEV_LOG_TARGET / (2.0 * math.log(rho)) / 8)
         if n <= CHEBYSHEV_MAX_NODES:
-            return _chebyshev_integrals(curve, path, n, foreign)
-    return _tanh_sinh_integrals(curve, path, quad)
+            one_minus, one_plus = chebyshev_nodes(n)
+            # from the end point nearer 0, where x and x - r then keep their accuracy
+            if abs(z0) <= abs(z1):
+                return _sums(curve, path, z0, None, one_plus, math.pi / n, foreign)
+            return _sums(curve, path, z1, None, -one_minus, math.pi / n, foreign)
+    return _graded_integrals(curve, path, foreign, near)
 
 
-def _chebyshev_integrals(curve: HyperellipticCurve, path: ArcPath, n: int,
-                         foreign: list[complex]) -> np.ndarray:
-    """arc_integrals by the n-node Gauss-Chebyshev rule, foreign being the
-    branch points other than the arc's ends (see the module docstring)."""
-    z0, z1 = path.start, path.end
-    m, h = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
-    scale = h * math.pi / (n * _principal_anchor(curve.branch_points, m))
-    one_minus, one_plus = chebyshev_nodes(n)
+def _sums(curve: HyperellipticCurve, path: ArcPath, anchors, index,
+          offsets: np.ndarray, weights, foreign: list[complex]) -> np.ndarray:
+    """(h / A) sum_j w_j x_j^(k-1) / prod_r sqrt((x_j - r) / (m - r)), k =
+    1..genus, at x_j = anchor + h offsets[j], anchor = anchors[index[j]]
+    (or the one anchor, if index is None), with x_j - r formed as
+    (anchor - r) + h offsets[j]."""
+    m, h = 0.5 * (path.start + path.end), 0.5 * (path.end - path.start)
+    anchor = _principal_anchor(curve.branch_points, m)
+    scale = h / anchor
+    roots = np.array(foreign)
     real = _real_arc(curve, path)
     if real:
-        z0, z1, h = z0.real, z1.real, h.real
-    # from the end point nearer 0, where x and x - r then keep their accuracy
-    x = z0 + h * one_plus if abs(z0) <= abs(z1) else z1 - h * one_minus
-    if real:
-        f = np.abs(np.subtract.outer(x, foreign)).prod(axis=1) ** -0.5
-        scale *= math.sqrt(math.prod(abs(m - r) for r in foreign))
+        # |A| = |h| sqrt(prod_r |m - r|), as |m - z0| = |m - z1| = |h|
+        scale *= abs(anchor) / abs(h)
+        h, anchors = h.real, anchors.real
+        if curve.all_real:
+            roots = roots.real
+    dx = h * offsets
+    if index is None:
+        x = anchors + dx
+        diffs = np.add.outer(dx, anchors - roots)
     else:
-        f = 1.0 / np.sqrt(np.subtract.outer(x, foreign)
-                          / np.subtract(m, foreign)).prod(axis=1)
+        x = anchors[index] + dx
+        diffs = np.subtract.outer(anchors, roots)[index] + dx[:, None]
+    if real:
+        f = weights / np.sqrt(np.abs(diffs.prod(axis=1)))
+    else:
+        f = weights / np.sqrt(diffs / (m - roots)).prod(axis=1)
     return scale * _moments(x, f, curve.genus)
 
 
-def _tanh_sinh_integrals(curve: HyperellipticCurve, path: ArcPath,
-                         quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """arc_integrals by nested tanh-sinh levels, stopping at quad.tol.
-
-    A real arc of a conjugation-closed curve runs the float64 kernel
-    sqrt(P) = A * sqrt(P / P(m)).  An arc with conjugate ends on such a
-    curve is integrated over its upper half only, from its start to its
-    real midpoint m, with sqrt(P) anchored at m; the other half is
-    -sigma * conj of it.  See the module docstring for both.
-    """
-    pts, g = curve.branch_points, curve.genus
-    if _conjugate_ends(curve, path):
-        m = complex(path.start.real)
-        anchor = _principal_anchor(pts, m)
-        upper_half = _tracked_root(curve, ArcPath(path.start, m), anchor, True)
-        upper = _nested_integrals(upper_half, g, 0.5 * (m - path.start), quad)
-        sigma = 1.0 if abs(anchor.real) >= abs(anchor.imag) else -1.0
-        return upper - sigma * upper.conj()
-    anchor = _principal_anchor(pts, 0.5 * (path.start + path.end))
-    half = 0.5 * (path.end - path.start)
-    if _real_arc(curve, path):
-        return _nested_integrals(partial(_real_root_on_nodes, curve, path), g,
-                                 half / anchor, quad)
-    return _nested_integrals(_tracked_root(curve, path, anchor, False), g, half, quad)
+def _theta(path: ArcPath, h: complex, r: complex, u: complex) -> complex:
+    """theta_r = arccos(u_r), Re theta_r in [0, pi], for the root r at
+    u_r = (r - m) / h; beside an end from the exact offset
+    1 -+ u_r = 2 sin^2(phi / 2) = (z1 - r) / h or (r - z0) / h, whose
+    digits u_r itself has lost."""
+    if abs(u.real) <= 0.5:
+        return 0.5 * math.pi - cmath.asin(u)
+    sign = 1.0 if u.real > 0 else -1.0
+    end = path.end if sign > 0 else path.start
+    phi = 2.0 * cmath.asin(cmath.sqrt(sign * (end - r) / (2.0 * h)))
+    return phi if sign > 0 else math.pi - phi
 
 
-def _tracked_root(curve: HyperellipticCurve, path: ArcPath, anchor: complex,
-                  anchor_at_end: bool):
-    """Sampler of sqrt(P) on the arc, anchored to the value anchor at the
-    arc's midpoint, or at its end point if anchor_at_end, and continued
-    node to node.
-
-    The first call takes every node of a level and tracks the signs from
-    the anchor; each later call takes the new odd nodes of the next level
-    and gives each the sign continuous with its left neighbour.
-    """
-    sq = None  # tracked sqrt(P) at every node of the deepest level sampled
-
-    def sample(u, one_minus, one_plus):
-        nonlocal sq
-        x, new = _sqrt_p_on_nodes(curve, path, u, one_minus, one_plus)
-        if sq is None:
-            # u[-1] = 1 (x = end) and u[len // 2] = 0 (x = midpoint)
-            at = len(u) - 1 if anchor_at_end else len(u) // 2
-            sq = new * _track_signs(new, at, anchor)
-            return x, sq
-        new = np.where((new / sq[:-1]).real < 0, -new, new)
-        merged = np.empty(2 * len(sq) - 1, dtype=complex)
-        merged[::2] = sq
-        merged[1::2] = new
-        sq = merged
-        return x, new
-
-    return sample
+# the four quarters of theta in [0, pi], each the offset phi in [0, pi/4]
+# from its anchor z1, m, m or z0: theta = base - step phi, and
+# x = anchor + step h g(phi) with g = 1 - cos phi (omc) or sin phi
+_QUARTERS = ((-1.0, True, 0.0), (1.0, False, 0.5 * math.pi),
+             (-1.0, False, 0.5 * math.pi), (1.0, True, math.pi))
 
 
-def _nested_integrals(sample, kmax: int, scale: complex,
-                      quad: QuadConfig) -> np.ndarray:
-    """scale times the tanh-sinh sums of w x^(k-1) / root for k = 1..kmax,
-    where sample(u, one_minus, one_plus) -> (x, root) maps nodes of [-1, 1]
-    to points of the arc and the arc's root function there.
+def _depth(length: float, width: float) -> int:
+    """The grading depth whose first panel, 2^-depth length, is at most width."""
+    return max(0, math.ceil(math.log2(length / width)))
 
-    The tanh-sinh levels nest (see quadrature), so the root is evaluated
-    once per node: the first estimate samples level MIN_LEVEL + 1 and
-    reads level MIN_LEVEL off its even nodes; each deeper level samples
-    only its new odd nodes and adds their sum to half the previous one.
-    """
-    # acc: moment sums of the level last returned, without the factor scale;
-    # odd: the odd-node sums of level MIN_LEVEL + 1, sampled by the first call
-    acc = odd = None
 
-    def estimate(level: int) -> np.ndarray:
-        nonlocal acc, odd
-        if level == MIN_LEVEL:
-            u, one_minus, one_plus, w = tanh_sinh_nodes(level + 1)
-            x, root = sample(u, one_minus, one_plus)
-            f = w / root
-            acc = 2.0 * _moments(x[::2], f[::2], kmax)
-            odd = _moments(x[1::2], f[1::2], kmax)
-        elif level == MIN_LEVEL + 1:
-            acc = 0.5 * acc + odd
-        else:
-            u, one_minus, one_plus, w = tanh_sinh_nodes(level)
-            x, root = sample(u[1::2], one_minus[1::2], one_plus[1::2])
-            acc = 0.5 * acc + _moments(x, w[1::2] / root, kmax)
-        return scale * acc
+def _graded_integrals(curve: HyperellipticCurve, path: ArcPath,
+                      foreign: list[complex], near: list) -> np.ndarray:
+    """arc_integrals by Gauss-Legendre panels in theta, graded toward the
+    roots (r, u_r) in near (see the module docstring)."""
+    z0, z1 = path.start, path.end
+    m, h = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
+    points = ({}, {}, {}, {})  # per quarter: grading point p -> least width
+    for r, u in near:
+        theta = _theta(path, h, r, u)
+        a, b = theta.real, abs(theta.imag)
+        # quarter j spans [j, j + 1] pi/4; b < pi/4 leaves only j0 - 1 .. j0 + 1 in reach
+        j0 = int(a / QUARTER)
+        for j in range(max(0, j0 - 1), min(4, j0 + 2)):
+            step, _, base = _QUARTERS[j]
+            # phi_r = step (base - theta_r); p its real part clamped into the quarter
+            re = step * (base - a)
+            p = min(max(re, 0.0), QUARTER)
+            width = math.hypot(re - p, b)
+            if width < QUARTER:
+                p = 0.0 if p <= width else QUARTER if QUARTER - p <= width else p
+                points[j][p] = min(width, points[j].get(p, width))
+    offsets, weights, index = _layout(tuple(map(_pieces, points)))
+    return _sums(curve, path, np.array([z1, m, m, z0]), index, offsets,
+                 weights, foreign)
 
-    return integrate_levels(estimate, quad)
+
+def _pieces(points: dict) -> tuple:
+    """The pieces (p, length, depth) of a quarter with grading points
+    p -> width: cut at the midpoints between the points, each piece runs
+    from p over the signed length, graded toward p to the depth whose
+    first panel is no wider than the width."""
+    if not points:  # one panel
+        return ((0.0, QUARTER, 0),)
+    if len(points) == 1 and 0.0 in points:
+        return ((0.0, QUARTER, _depth(QUARTER, points[0.0])),)
+    ps = sorted(points)
+    cuts = [0.0] + [0.5 * (a + b) for a, b in zip(ps, ps[1:])] + [QUARTER]
+    return tuple((p, length, _depth(abs(length), points[p]))
+                 for p, lo, hi in zip(ps, cuts, cuts[1:])
+                 for length in (lo - p, hi - p) if length)
+
+
+@lru_cache(maxsize=256)
+def _layout(quarters: tuple):
+    """Signed offsets step g(phi), weights and quarter index 0..3 of the
+    nodes of the four quarters, given as their pieces."""
+    offsets, weights, index = [], [], []
+    for j, (pieces, (step, omc, _)) in enumerate(zip(quarters, _QUARTERS)):
+        for p, length, depth in pieces:
+            phi, w = graded_nodes(depth)
+            ratio = length / QUARTER
+            phi = p + ratio * phi
+            offsets.append(step * (2.0 * np.sin(0.5 * phi) ** 2 if omc else np.sin(phi)))
+            weights.append(abs(ratio) * w)
+            index.append(np.full(len(phi), j))
+    return tuple(map(np.concatenate, (offsets, weights, index)))
 
 
 def build_cycles(curve: HyperellipticCurve, layout: str) -> CyclePlan:
@@ -512,8 +450,7 @@ class PeriodPair:
     B: np.ndarray
 
 
-def period_matrices(curve: HyperellipticCurve, plan: CyclePlan,
-                    quad: QuadConfig = DEFAULT_QUAD) -> PeriodPair:
+def period_matrices(curve: HyperellipticCurve, plan: CyclePlan) -> PeriodPair:
     """Assemble A and B from the plan's integer combinations of arc integrals.
 
     On a curve closed under x -> -x an arc whose negated reverse is
@@ -530,7 +467,7 @@ def period_matrices(curve: HyperellipticCurve, plan: CyclePlan,
         arc = plan.arcs[j]
         i = integrated.get((-arc.end, -arc.start)) if mirror else None
         if i is None:
-            integrals[j] = arc_integrals(curve, arc, quad)
+            integrals[j] = arc_integrals(curve, arc)
             integrated[arc.start, arc.end] = j
             continue
         # I_j,k = (-1)^(k+1) I_i,k / eps, eps = A_j / A_i rounded to its unit;
@@ -545,13 +482,11 @@ def period_matrices(curve: HyperellipticCurve, plan: CyclePlan,
                       np.array(plan.beta_rows) @ integrals)
 
 
-def period_matrix(curve: HyperellipticCurve, plan: CyclePlan,
-                  quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """Z = A B^-1, validated as a Riemann matrix at quadrature tolerance."""
-    pair = period_matrices(curve, plan, quad)
+def period_matrix(curve: HyperellipticCurve, plan: CyclePlan) -> np.ndarray:
+    """Z = A B^-1, validated as a Riemann matrix to 1e-10."""
+    pair = period_matrices(curve, plan)
     # an owned C-contiguous copy, not a view pinning LAPACK's output
     Z = np.ascontiguousarray(lu_solve(pair.B.T, pair.A.T).T)
-    tol = max(1e-10, 100 * quad.tol)
-    if not is_riemann_matrix(Z, tol):
+    if not is_riemann_matrix(Z, 1e-10):
         raise AccuracyError("computed A B^-1 is not a Riemann matrix")
     return Z

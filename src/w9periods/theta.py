@@ -109,7 +109,8 @@ def theta_char(ch: ThetaCharacteristic, z, Z,
     """Theta with characteristic ch at argument z and period matrix Z.
 
     The sum reads only (Z + Z^T)/2, so Z must be symmetric: ParameterError
-    if max |Z - Z^T| > 1e-6 * max(1, max |Z_ij|).
+    if max |Z - Z^T| > 1e-6 * max(1, max |Z_ij|), a bound that admits a
+    typed `--matrix` whose mirrored entries were rounded apart.
     """
     Z = np.asarray(Z, dtype=complex)
     g = ch.g

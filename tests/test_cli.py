@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import importlib
 import json
@@ -17,7 +16,6 @@ from conftest import Z1, ZHAT1
 import w9periods
 from w9periods import cli, geodesic, periods
 from w9periods.errors import TruncationError
-from w9periods.quadrature import QuadConfig
 
 SQRT3 = math.sqrt(3.0)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -282,8 +280,10 @@ def test_verify_single(capsys):
 def test_verify_metadata_lists_applied_settings(capsys):
     code, out, _ = run(capsys, "verify", "--s", "2-sqrt(3)")
     assert code == 0
-    assert json.loads(out)["metadata"] == {"quad_tol": 1e-11,
-                                           "version": w9periods.__version__}
+    assert json.loads(out)["metadata"] == {"version": w9periods.__version__}
+    # no quadrature tolerance is left to set: --quad-tol is an unknown flag
+    code, _, err = run(capsys, "verify", "--s", "2-sqrt(3)", "--quad-tol", "1e-9")
+    assert code == 1 and "--quad-tol" in err
 
 
 def test_verify_grid(capsys):
@@ -329,6 +329,19 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["satisfied"] == []
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # quadrature.graded_nodes imports leggauss when first called, so a CLI
+    # process that integrates no graded arc does not load numpy.polynomial
+    src = str(README.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, w9periods.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_classify_ordering_error(capsys):
     code, _, err = run(capsys, "classify", "--abc", "0.5,0.4,0.7")
     assert code == 2
@@ -344,30 +357,33 @@ def test_json_matrix_roundtrip(capsys, tmp_path):
     assert code == 0
     M = cli.parse_matrix(str(out_file), prefer_g=2)
     curve = periods.HyperellipticCurve((-1.0, 0.0, 1.0, 2.0, 3.0))
-    Z = periods.period_matrix(curve, periods.build_cycles(curve, periods.LAYOUT_GENUS2),
-                              QuadConfig(tol=1e-11))
+    Z = periods.period_matrix(curve, periods.build_cycles(curve, periods.LAYOUT_GENUS2))
     assert np.array_equal(M, Z)
 
 
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("quad-tol=1e-9\nformat=json\n")
+    cfg.write_text("# global flags\nformat=json\n")
     code, out, _ = run(capsys, "--config", str(cfg), "classify", "--s", "0.1")
     assert code == 0
     assert json.loads(out)["satisfied"] == []
+    # a key that is no flag exits 1, as the flag itself does
+    cfg.write_text("quad-tol=1e-9\nformat=json\n")
+    code, _, _ = run(capsys, "--config", str(cfg), "classify", "--s", "0.1")
+    assert code == 1
 
 
 def test_config_file_equals_form(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("quad-tol=1e-9\n")
+    cfg.write_text("format=csv\n")
     code, out, _ = run(capsys, f"--config={cfg}", "periods", "--s", "0.2")
     assert code == 0
-    assert json.loads(out)["metadata"]["quad_tol"] == 1e-9
+    assert out.startswith("row,col,re,im\n")
     # the command line wins over the file, --config may come last
-    code, out, _ = run(capsys, "periods", "--u", "-18", "--quad-tol", "1e-10",
+    code, out, _ = run(capsys, "periods", "--u", "-18", "--format", "json",
                        "--config", str(cfg))
     assert code == 0
-    assert json.loads(out)["metadata"]["quad_tol"] == 1e-10
+    assert json.loads(out)["metadata"] == {"version": w9periods.__version__}
 
 
 def test_determinism(capsys):
@@ -392,8 +408,7 @@ def test_readme_examples_parse():
 def test_readme_library_names_exist():
     # every backticked name in a "- `w9periods.<module>`:" bullet of the
     # README's "Library entry points" section is an attribute of that
-    # module; a dotted name is read from the package, and `tol` is the
-    # field of QuadConfig
+    # module; a dotted name is read from the package
     section = README.read_text().split("\n## Library entry points\n", 1)[1]
     bullets = re.findall(r"^- `w9periods\.(\w+)`:(.*?)(?=^- |\Z)",
                          section.split("\n## ", 1)[0], re.M | re.S)
@@ -401,9 +416,7 @@ def test_readme_library_names_exist():
     for module_name, text in bullets:
         module = importlib.import_module(f"w9periods.{module_name}")
         for name in re.findall(r"`([\w.]+)`", text):
-            if name == "tol":
-                assert "tol" in {f.name for f in dataclasses.fields(QuadConfig)}
-            elif "." in name:
+            if "." in name:
                 functools.reduce(getattr, name.split("."), w9periods)
             else:
                 assert hasattr(module, name), (module_name, name)

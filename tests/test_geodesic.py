@@ -219,15 +219,27 @@ def test_trace_beyond_former_limit():
 
 
 def test_solve_y_matches_quadrature_over_family():
-    # s in (0, sqrt(3)/3) maps onto t in (0, inf); here t runs from 0.28
-    # to 3.49, through t = 1 at the 3-square-tiled surface
-    for s in (0.005, 0.01, 0.05, 0.1, 0.2, S_SQUARE, 0.35, 0.45, 0.5, 0.57):
+    # s in (0, sqrt(3)/3) maps onto t in (0, inf); here t runs from 0.112
+    # to 5.43, through t = 1 at the 3-square-tiled surface
+    for s in (1.1e-6, 2.3e-6, 0.005, 0.01, 0.05, 0.1, 0.2, S_SQUARE, 0.35, 0.45,
+              0.5, 0.57, 0.577):
         cover = w9.double_cover(w9.curve_Qs(s))
         Zhat = period_matrix(cover, build_cycles(cover, LAYOUT_COVER))
         t, y = geo.extract_ty_from_cover(Zhat, shape_tol=1e-6)
         pt = geo.solve_y(t)
         assert pt.flags == ()
         assert abs(pt.y - y) < 1e-12
+
+
+def test_solve_y_matches_quadrature_at_far_edge():
+    # s = sqrt(3)/3 - 1e-8, t = 12.1, where the branch point c is 1.8e16
+    # and a and b are 2.3e-8 apart; relative in y
+    cover = w9.double_cover(w9.curve_Qs(math.sqrt(3) / 3 - 1e-8))
+    Zhat = period_matrix(cover, build_cycles(cover, LAYOUT_COVER))
+    t, y = geo.extract_ty_from_cover(Zhat, shape_tol=1e-6)
+    pt = geo.solve_y(t)
+    assert pt.flags == () and 12 < t < 12.2
+    assert abs(pt.y - y) < 1e-10 * y
 
 
 def test_duality_on_quadrature_side():

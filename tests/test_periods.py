@@ -6,14 +6,14 @@ import pytest
 
 from conftest import S_SQUARE, Z1, ZHAT1, agm
 from w9periods import periods, w9
-from w9periods.errors import (AccuracyError, DegeneracyError, LayoutError,
-                              ParameterError, PathError)
+from w9periods.errors import (DegeneracyError, LayoutError, ParameterError,
+                              PathError, W9Error)
 from w9periods.periods import (CLEARANCE_FACTOR, LAYOUT_COVER, LAYOUT_ELLIPTIC,
                                LAYOUT_GENUS2, MIN_ROOT_SEPARATION, ArcPath,
                                HyperellipticCurve, _principal_anchor,
-                               _segment_distance, _track_signs, arc_integrals,
-                               build_cycles, period_matrices, period_matrix)
-from w9periods.quadrature import DEFAULT_QUAD, MAX_LEVEL, MIN_LEVEL, tanh_sinh_nodes
+                               _segment_distance, arc_integrals, build_cycles,
+                               period_matrices, period_matrix)
+from w9periods.quadrature import tanh_sinh_nodes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -91,21 +91,25 @@ def test_non_finite_branch_points_rejected():
             HyperellipticCurve((-1.0, 0.0, bad, 2.0, 3.0))
 
 
-def _full_level_estimate(curve, path, level):
-    """Tanh-sinh estimate at one level with sqrt(P) evaluated afresh at
-    every node of the level and tracked from the midpoint anchor, and
-    x^(k-1) by power: the per-level rule the nested refinement replaces.
-    An arc with conjugate ends is halved as arc_integrals halves it: the
-    estimate is over its upper half, tracked from the real end m."""
+def _track_signs(w: np.ndarray, anchor_index: int,
+                 anchor_value: complex) -> np.ndarray:
+    """Sign table making the square-root samples w continuous from the anchor."""
+    ratio_flip = np.where((w[1:] / w[:-1]).real < 0, -1.0, 1.0)
+    cum = np.concatenate(([1.0], np.cumprod(ratio_flip)))
+    signs = cum / cum[anchor_index]
+    if abs(w[anchor_index] - anchor_value) > abs(w[anchor_index] + anchor_value):
+        signs = -signs
+    return signs
+
+
+def _tanh_sinh_arc(curve, path, level=11):
+    """An oracle independent of both rules of arc_integrals: the tanh-sinh
+    sum at one level, sqrt(P) evaluated at every node and tracked from the
+    midpoint anchor, x formed from the end nearer 0."""
     u, one_minus, one_plus, w = tanh_sinh_nodes(level)
     z0, z1 = path.start, path.end
-    anchor_index, anchor_x = len(u) // 2, 0.5 * (z1 + z0)
-    if periods._conjugate_ends(curve, path):
-        z1 = anchor_x = complex(z0.real)
-        anchor_index = -1
     half = 0.5 * (z1 - z0)
-    mid = 0.5 * (z1 + z0)
-    x = mid + half * u
+    x = z0 + half * one_plus if abs(z0) <= abs(z1) else z1 - half * one_minus
     P = np.ones(len(u), dtype=complex)
     for r in curve.branch_points:
         if abs(r - z0) <= MIN_ROOT_SEPARATION:
@@ -115,107 +119,10 @@ def _full_level_estimate(curve, path, level):
         else:
             P *= x - r
     sq = np.sqrt(P)
-    sq = _track_signs(sq, anchor_index,
-                      _principal_anchor(curve.branch_points, anchor_x)) * sq
-    base = w / sq
-    return np.array([half * np.sum(base * x ** (k - 1))
+    sq *= _track_signs(sq, len(u) // 2,
+                       _principal_anchor(curve.branch_points, 0.5 * (z0 + z1)))
+    return np.array([half * np.sum(w * x ** (k - 1) / sq)
                      for k in range(1, curve.genus + 1)])
-
-
-def _nested_levels(monkeypatch, curve, path):
-    """The nested estimates of the tanh-sinh body at every level MIN..MAX_LEVEL."""
-    seen = []
-
-    def every_level(eval_terms, cfg):
-        for level in range(MIN_LEVEL, MAX_LEVEL + 1):
-            seen.append(eval_terms(level))
-        return seen[-1]
-
-    monkeypatch.setattr(periods, "integrate_levels", every_level)
-    periods._tanh_sinh_integrals(curve, path)
-    assert len(seen) == MAX_LEVEL - MIN_LEVEL + 1 == 8
-    return seen
-
-
-@pytest.mark.parametrize("s", [0.005, 0.05, S_SQUARE, 0.5, 0.57])
-def test_nested_levels_match_full_evaluation(monkeypatch, s):
-    base = w9.curve_Qs(s)
-    for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
-        plan = build_cycles(curve, layout)
-        for i in plan.used_arcs():
-            nested = _nested_levels(monkeypatch, curve, plan.arcs[i])
-            for level, got in zip(range(MIN_LEVEL, MAX_LEVEL + 1), nested):
-                full = _full_level_estimate(curve, plan.arcs[i], level)
-                assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max(), \
-                    (s, layout, i, level)
-
-
-def _record_levels(monkeypatch):
-    """Lists filled by the tanh-sinh body: the node counts sampled and levels run."""
-    sampled = []
-    levels = []
-    drive = periods.integrate_levels
-
-    def counting(kernel):
-        def count(curve, path, u, one_minus, one_plus):
-            sampled.append(len(u))
-            return kernel(curve, path, u, one_minus, one_plus)
-        return count
-
-    def counting_drive(eval_terms, cfg):
-        return drive(lambda level: levels.append(level) or eval_terms(level), cfg)
-
-    # both kernels: the complex tracked root and the float64 real-arc root
-    for name in ("_sqrt_p_on_nodes", "_real_root_on_nodes"):
-        monkeypatch.setattr(periods, name, counting(getattr(periods, name)))
-    monkeypatch.setattr(periods, "integrate_levels", counting_drive)
-    return sampled, levels
-
-
-def test_nested_levels_evaluate_each_node_once(monkeypatch):
-    # an arc that stops at level L samples sqrt(P) at the N_L nodes of
-    # level L in total, not at sum_{l <= L} N_l; the branch points
-    # 0.5 +- 0.02i next to the arc 0 -> 1 drive it past level 7
-    sampled, levels = _record_levels(monkeypatch)
-    curve = HyperellipticCurve((-1.0, 0.0, 1.0, 0.5 + 0.02j, 0.5 - 0.02j))
-    stops = set()
-    for path in (ArcPath(0.0, 1.0), ArcPath(-1.0, 0.0)):
-        sampled.clear()
-        levels.clear()
-        periods._tanh_sinh_integrals(curve, path)
-        stop = levels[-1]
-        stops.add(stop)
-        assert sum(sampled) == len(tanh_sinh_nodes(stop)[0]), (path, stop)
-    assert 6 in stops and max(stops) > 7
-    assert len(tanh_sinh_nodes(6)[0]) == 553
-
-
-@pytest.mark.parametrize("s", [1e-4, 1e-3, 0.005, 0.05, S_SQUARE, 0.5, 0.57])
-def test_cover_arc_i_to_minus_i_stops_at_level_6(monkeypatch, s):
-    # the near-singularity between -a and a sits at the half-arc's end,
-    # where the tanh-sinh nodes crowd
-    sampled, levels = _record_levels(monkeypatch)
-    periods._tanh_sinh_integrals(w9.double_cover(w9.curve_Qs(s)), ArcPath(1j, -1j))
-    assert levels[-1] == 6
-    assert sum(sampled) == len(tanh_sinh_nodes(6)[0])
-
-
-@pytest.mark.parametrize("s", [1e-3, 0.05, S_SQUARE, 0.5])
-def test_conjugate_half_matches_lower_half(s):
-    # the lower half m -> -i, integrated directly with sqrt(P) anchored at
-    # m = 0 to the same principal value A, is -sigma conj(upper half)
-    curve = w9.double_cover(w9.curve_Qs(s))
-    anchor = _principal_anchor(curve.branch_points, 0j)
-    sigma = 1.0 if abs(anchor.real) >= abs(anchor.imag) else -1.0
-
-    def half(path):
-        return periods._nested_integrals(
-            periods._tracked_root(curve, path, anchor, True), curve.genus,
-            0.5 * (path.end - path.start), DEFAULT_QUAD)
-
-    upper = half(ArcPath(1j, 0j))
-    lower = -half(ArcPath(-1j, 0j))
-    assert np.abs(lower + sigma * upper.conj()).max() <= 1e-15 * np.abs(upper).max()
 
 
 @pytest.mark.parametrize("s", [1e-3, 1e-2])
@@ -239,9 +146,9 @@ def _count_arc_integrals(monkeypatch):
     calls = []
     arc = periods.arc_integrals
 
-    def counting(curve, path, quad=DEFAULT_QUAD):
+    def counting(curve, path):
         calls.append(path)
-        return arc(curve, path, quad)
+        return arc(curve, path)
 
     monkeypatch.setattr(periods, "arc_integrals", counting)
     return calls
@@ -296,16 +203,32 @@ def test_period_matrix_arc_count(monkeypatch):
         assert len(calls) == count, layout
 
 
+def _count_graded(monkeypatch):
+    """The paths of the arcs that go to the graded rule, in call order."""
+    calls = []
+    graded = periods._graded_integrals
+
+    def counting(curve, path, foreign, near):
+        calls.append(path)
+        return graded(curve, path, foreign, near)
+
+    monkeypatch.setattr(periods, "_graded_integrals", counting)
+    return calls
+
+
 @pytest.mark.parametrize("layout, arc", [(LAYOUT_GENUS2, 2), (LAYOUT_COVER, 0)])
 def test_real_kernel_matches_mpmath(monkeypatch, layout, arc):
-    # on genus-2 arc a -> b and cover arc -c -> -b at s = 0.05 the tanh-sinh
-    # body runs the float64 kernel sqrt(P) = A sqrt(P / P(m)); against
-    # 30-digit mpmath.quad of the positive ratio, divided by the same anchor A
+    # genus-2 arc a -> b and cover arc -c -> -b at s = 0.05, sent to the
+    # graded rule, run the float64-moduli kernel sqrt(P) = A sqrt(P / P(m));
+    # against 30-digit mpmath.quad of the positive ratio, divided by the same anchor A
     base = w9.curve_Qs(0.05)
     curve = base if layout == LAYOUT_GENUS2 else w9.double_cover(base)
     path = build_cycles(curve, layout).arcs[arc]
-    monkeypatch.setattr(periods, "_sqrt_p_on_nodes", None)  # not the complex kernel
-    got = periods._tanh_sinh_integrals(curve, path)
+    assert periods._real_arc(curve, path)
+    calls = _count_graded(monkeypatch)
+    monkeypatch.setattr(periods, "CHEBYSHEV_MAX_NODES", 0)
+    got = arc_integrals(curve, path)
+    assert calls == [path]
     z0, z1 = path.start.real, path.end.real
     anchor = _principal_anchor(curve.branch_points, 0.5 * (path.start + path.end))
     with mpmath.workdps(30):
@@ -340,73 +263,90 @@ def test_genus2_arcs_match_mpmath_at_cusps(s):
                 assert err <= 1e-10 * abs(ref), (s, i, k)
 
 
-def _count_tanh_sinh(monkeypatch):
-    """The integrate_levels calls: one per arc that goes to tanh-sinh."""
-    calls = []
-    drive = periods.integrate_levels
-
-    def counting(eval_terms, cfg):
-        calls.append(cfg)
-        return drive(eval_terms, cfg)
-
-    monkeypatch.setattr(periods, "integrate_levels", counting)
-    return calls
-
-
-def _chebyshev_reference(curve, path):
-    """30-digit mpmath.quad of the arc's Gauss-Chebyshev integrand,
-    (h / A) x^(k-1) / prod_r sqrt(1 + c_r u) against du / sqrt(1 - u^2),
-    from the exact branch points.  It runs over u = cos(theta), split at
-    the angle of each foreign root whose u_r has |Re u_r| < 1."""
+def _theta_reference(curve, path):
+    """30-digit mpmath.quad of the arc's integrand in theta, u = cos(theta),
+    (h / A) x^(k-1) / prod_r sqrt((x - r) / (m - r)) over [0, pi], from the
+    exact branch points.  x - r is formed from the nearer end,
+    (z1 - r) - 2 h sin^2(theta / 2) or (z0 - r) + 2 h cos^2(theta / 2), so
+    that it keeps its digits where a root crowds that end.  [0, pi] is cut
+    at Re theta_r and Re theta_r -+ |Im theta_r| of each foreign root."""
     anchor = _principal_anchor(curve.branch_points, 0.5 * (path.start + path.end))
     with mpmath.workdps(30):
         z0, z1 = (mpmath.mpc(z.real, z.imag) for z in (path.start, path.end))
         m, h = (z0 + z1) / 2, (z1 - z0) / 2
-        cs = [h / (m - mpmath.mpc(r.real, r.imag)) for r in curve.branch_points
-              if r not in (path.start, path.end)]
-        cuts = {mpmath.acos(-mpmath.re(1 / c)) for c in cs if abs(mpmath.re(1 / c)) < 1}
+        roots = [mpmath.mpc(r.real, r.imag) for r in curve.branch_points
+                 if r not in (path.start, path.end)]
+        cuts = {mpmath.mpf(0), +mpmath.pi}
+        for r in roots:
+            theta = mpmath.acos((r - m) / h)
+            centre = min(max(mpmath.re(theta), 0), mpmath.pi)
+            width = abs(theta - centre)
+            cuts.update(c for c in (centre - width, centre, centre + width)
+                        if 0 < c < mpmath.pi)
         memo = {}
 
-        def weight(theta):  # h / prod_r sqrt(1 + c_r u), once per node
+        def weight(theta):  # x and h / prod_r sqrt((x - r) / (m - r)), once per node
             if theta not in memo:
-                u = mpmath.cos(theta)
-                memo[theta] = u, h / mpmath.fprod(mpmath.sqrt(1 + c * u) for c in cs)
+                if theta <= mpmath.pi / 2:
+                    end, dx = z1, -2 * h * mpmath.sin(theta / 2) ** 2
+                else:
+                    end, dx = z0, 2 * h * mpmath.cos(theta / 2) ** 2
+                memo[theta] = end + dx, h / mpmath.fprod(
+                    mpmath.sqrt(((end - r) + dx) / (m - r)) for r in roots)
             return memo[theta]
 
         def moment(k):
             def f(theta):
-                u, w = weight(theta)
-                return (m + h * u) ** (k - 1) * w
+                x, w = weight(theta)
+                return x ** (k - 1) * w
             return f
 
-        ref = [complex(mpmath.quad(moment(k), sorted(cuts | {0, mpmath.pi})))
+        ref = [complex(mpmath.quad(moment(k), sorted(cuts)))
                for k in range(1, curve.genus + 1)]
     return np.array(ref) / anchor
 
 
 @pytest.mark.parametrize("s", [0.005, 0.05, S_SQUARE, 0.5, 0.57])
 def test_chebyshev_arcs_match_mpmath(monkeypatch, s):
-    # every integrated arc with N <= 553 nodes (arcs 0 to 3 of both layouts;
-    # the cover derives arcs 5 and 6 from their mirror images)
-    calls = _count_tanh_sinh(monkeypatch)
+    # every integrated arc, arcs 0 to 3 of both layouts (the cover derives
+    # arcs 5 and 6 from their mirror images), by either rule: at s = 0.005
+    # and 0.57 some arcs take the graded rule
+    calls = _count_graded(monkeypatch)
     base = w9.curve_Qs(s)
-    checked = 0
     for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
         plan = build_cycles(curve, layout)
         for i in range(4):
-            calls.clear()
             got = arc_integrals(curve, plan.arcs[i])
-            if calls:
-                continue
-            ref = _chebyshev_reference(curve, plan.arcs[i])
+            ref = _theta_reference(curve, plan.arcs[i])
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (s, layout, i)
-            checked += 1
-    assert checked >= 5
+    assert (len(calls) > 0) == (s in (0.005, 0.57))
+
+
+@pytest.mark.parametrize("s, layout, arc", [
+    (1.1e-6, LAYOUT_GENUS2, 2),
+    (2.3e-4, LAYOUT_GENUS2, 2),
+    (SQRT3 / 3 - 1e-8, LAYOUT_GENUS2, 3),
+    (SQRT3 / 3 - 1e-8, LAYOUT_COVER, 2),
+    (SQRT3 / 3 - 1e-8, LAYOUT_COVER, 0),
+])
+def test_graded_arcs_match_mpmath_at_cusps(monkeypatch, s, layout, arc):
+    # the graded arcs at the family's edges, s = 1.1e-6 and
+    # sqrt(3)/3 - 1e-8, where c = 1.8e16 and a foreign root sits 2.3e-8
+    # from an end; the float branch points are taken as exact
+    calls = _count_graded(monkeypatch)
+    base = w9.curve_Qs(s)
+    curve = base if layout == LAYOUT_GENUS2 else w9.double_cover(base)
+    path = build_cycles(curve, layout).arcs[arc]
+    got = arc_integrals(curve, path)
+    assert calls == [path]
+    ref = _theta_reference(curve, path)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_chebyshev_work_counter(monkeypatch):
-    # work counter: integrate_levels runs once per arc that goes to tanh-sinh
-    calls = _count_tanh_sinh(monkeypatch)
+    # work counter: the graded rule runs once per arc whose Chebyshev N
+    # passes CHEBYSHEV_MAX_NODES
+    calls = _count_graded(monkeypatch)
     base = w9.curve_Qs(S_SQUARE)
     for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
         period_matrix(curve, build_cycles(curve, layout))
@@ -418,53 +358,77 @@ def test_chebyshev_work_counter(monkeypatch):
         plan = build_cycles(curve, layout)
         calls.clear()
         period_matrix(curve, plan)
-        assert len(calls) == len(deep), layout
-        went = []
-        for i in range(4):
-            calls.clear()
-            arc_integrals(curve, plan.arcs[i])
-            if calls:
-                went.append(i)
-        assert went == deep, layout
+        assert calls == [plan.arcs[i] for i in deep], layout
+
+
+@pytest.mark.parametrize("s, nodes", [(1.1e-6, 528), (0.005, 240), (0.57, 168),
+                                      (SQRT3 / 3 - 1e-8, 516)])
+def test_graded_node_counts(monkeypatch, s, nodes):
+    # work counter: the graded rule's node count follows a priori from the
+    # roots' angles, 12 per panel; the most any graded arc of both layouts
+    # takes at s
+    counts = []
+    sums = periods._sums
+
+    def counting(curve, path, anchors, index, offsets, weights, foreign):
+        if index is not None:
+            counts.append(len(offsets))
+        return sums(curve, path, anchors, index, offsets, weights, foreign)
+
+    monkeypatch.setattr(periods, "_sums", counting)
+    base = w9.curve_Qs(s)
+    for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
+        period_matrix(curve, build_cycles(curve, layout))
+    assert counts and all(n % 12 == 0 for n in counts)
+    assert max(counts) == nodes
 
 
 @pytest.mark.parametrize("s", [0.005, 0.05, S_SQUARE, 0.5, 0.57])
 def test_period_matrix_matches_tanh_sinh_only(monkeypatch, s):
+    # against period matrices whose every arc runs the tanh-sinh oracle
     base = w9.curve_Qs(s)
     layouts = ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER))
-    hybrid = [period_matrix(curve, build_cycles(curve, layout))
-              for curve, layout in layouts]
-    monkeypatch.setattr(periods, "arc_integrals", periods._tanh_sinh_integrals)
-    for (curve, layout), Z in zip(layouts, hybrid):
+    got = [period_matrix(curve, build_cycles(curve, layout)) for curve, layout in layouts]
+    monkeypatch.setattr(periods, "arc_integrals", _tanh_sinh_arc)
+    for (curve, layout), Z in zip(layouts, got):
         ref = period_matrix(curve, build_cycles(curve, layout))
         assert np.abs(Z - ref).max() <= 1e-13 * np.abs(ref).max(), layout
 
 
-def test_low_cusp_failures_stay_accuracy_errors():
-    # rho takes the root of u_r^2 - 1 on u_r's side: the other one cancels
-    # for a root far along the arc's line (ZeroDivisionError at rho = 0, an
-    # underestimated N otherwise); the genus-2 arc a -> b still fails at
-    # the same 7 of these s, all at or below 2.3e-4
+def test_cusp_scans_find_no_failure():
+    # both layouts from s = 1.1e-6, where a = s^2 is 1.2e-12 from the
+    # branch point 0, and up to sqrt(3)/3 - 1e-8, where c = 1.8e16
+    near_cusps = list(np.geomspace(1.1e-6, 3e-3, 120)) + [
+        SQRT3 / 3 - d for d in np.geomspace(1e-8, 0.08, 80)]
     failed = []
-    for s in np.geomspace(1.5e-4, 3e-3, 400):
+    for s in near_cusps:
         base = w9.curve_Qs(s)
-        cover = w9.double_cover(base)
         try:
-            for curve, layout in ((base, LAYOUT_GENUS2), (cover, LAYOUT_COVER)):
+            for curve, layout in ((base, LAYOUT_GENUS2), (w9.double_cover(base), LAYOUT_COVER)):
                 period_matrix(curve, build_cycles(curve, layout))
-        except AccuracyError:
-            failed.append(s)
-    assert len(failed) == 7 and max(failed) < 2.31e-4
+        except W9Error as exc:
+            failed.append((s, exc))
+    assert failed == []
 
 
-def test_rho_rounding_to_one_goes_to_tanh_sinh(monkeypatch):
+def test_rho_rounding_to_one_matches_mpmath(monkeypatch):
     # on the arc -1e5 -> 0, u_r of the root 2e-12 is (2e-12 + 5e4) / 5e4,
-    # 1.0 exactly: rho = 1, for which no node count exists
-    calls = _count_tanh_sinh(monkeypatch)
+    # 1.0 exactly: rho = 1, for which no Chebyshev node count exists; the
+    # graded rule places the root from the exact offset (0 - 2e-12) / h
+    calls = _count_graded(monkeypatch)
     curve = HyperellipticCurve((-1e5, 0.0, 2e-12, 1.0))
-    with pytest.raises(AccuracyError):
-        arc_integrals(curve, ArcPath(-1e5, 0.0))
-    assert len(calls) == 1
+    path = ArcPath(-1e5, 0.0)
+    got = arc_integrals(curve, path)
+    assert calls == [path]
+    anchor = _principal_anchor(curve.branch_points, -5e4)
+    with mpmath.workdps(30):
+        roots = [mpmath.mpf(r.real) for r in curve.branch_points]
+        m = mpmath.mpf(-5e4)
+        Pm = mpmath.fprod(m - r for r in roots)
+        ref = complex(mpmath.quad(
+            lambda x: 1 / mpmath.sqrt(mpmath.fprod(x - r for r in roots) / Pm),
+            [-1e5, -1, -1e-6, -1e-10, 0])) / anchor
+    assert abs(got[0] - ref) <= 1e-14 * abs(ref)
 
 
 def test_build_cycles_layouts():

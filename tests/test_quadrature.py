@@ -3,20 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from w9periods.errors import AccuracyError, ParameterError
-from w9periods.quadrature import (DEFAULT_QUAD, QuadConfig, chebyshev_nodes,
-                                  integrate_levels, tanh_sinh_nodes)
-
-
-def test_config_validation():
-    with pytest.raises(ParameterError):
-        QuadConfig(tol=0)
-
-
-def test_config_rejects_non_finite_tol():
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ParameterError):
-            QuadConfig(tol=bad)
+from w9periods.quadrature import (PANEL_NODES, QUARTER, chebyshev_nodes,
+                                  graded_nodes, tanh_sinh_nodes)
 
 
 def test_nodes_structure():
@@ -72,31 +60,33 @@ def test_weights_integrate_constant():
     assert abs(w.sum() - 2.0) < 1e-13
 
 
-def test_smooth_integral():
-    def eval_terms(level):
-        u, _, _, w = tanh_sinh_nodes(level)
-        return np.array([np.sum(w * np.cos(u))])
+@pytest.mark.parametrize("depth", [0, 1, 7, 30])
+def test_graded_nodes(depth):
+    phi, w = graded_nodes(depth)
+    assert len(phi) == len(w) == PANEL_NODES * (depth + 1)
+    assert np.all(np.diff(phi) > 0) and 0 < phi[0] and phi[-1] < QUARTER
+    assert np.all(w > 0) and abs(w.sum() - QUARTER) < 1e-15
+    # the first panel is [0, 2^-depth pi/4], its nodes in full relative accuracy
+    first = phi[:PANEL_NODES] * 2.0**depth
+    assert np.abs(first - graded_nodes(0)[0][:PANEL_NODES]).max() < 1e-16
+    assert graded_nodes(depth) is graded_nodes(depth)  # cached
 
-    val = integrate_levels(eval_terms, DEFAULT_QUAD)[0]
-    assert abs(val - 2.0 * math.sin(1.0)) < 1e-13
+
+def test_smooth_integral():
+    # each panel's rule is exact to rounding on an entire integrand:
+    # integral of cos over [0, pi/4]
+    for depth in (0, 5):
+        phi, w = graded_nodes(depth)
+        assert abs(np.sum(w * np.cos(phi)) - math.sin(QUARTER)) < 1e-15
 
 
 def test_inverse_sqrt_endpoint_singularities():
-    # integral of 1/sqrt(1-u^2) over [-1, 1] is pi; the endpoint factors
-    # come from the stable 1 -+ u quantities
-    def eval_terms(level):
-        _, one_minus, one_plus, w = tanh_sinh_nodes(level)
-        return np.array([np.sum(w / np.sqrt(one_minus * one_plus))])
-
-    val = integrate_levels(eval_terms, DEFAULT_QUAD)[0]
-    assert abs(val - math.pi) < 1e-12
-
-
-def test_nonconvergent_raises():
-    rng = np.random.default_rng(0)
-
-    def eval_terms(level):
-        return np.array([rng.normal()])
-
-    with pytest.raises(AccuracyError):
-        integrate_levels(eval_terms, QuadConfig(tol=1e-13))
+    # integral of 1 / sqrt(phi + i eps) over [0, pi/4], a branch point eps
+    # from the end the panels grade toward: depth ceil(log2(pi / (4 eps)))
+    # puts a first panel no wider than eps there
+    for eps in (1e-3, 1e-9):
+        depth = math.ceil(math.log2(QUARTER / eps))
+        phi, w = graded_nodes(depth)
+        got = np.sum(w / np.sqrt(phi + 1j * eps))
+        exact = 2 * (np.sqrt(QUARTER + 1j * eps) - np.sqrt(1j * eps))
+        assert abs(got - exact) < 1e-15 * abs(exact)

@@ -8,7 +8,6 @@ from conftest import (ZHAT1, random_riemann_matrix, random_symplectic,
 from w9periods import w9
 from w9periods.errors import DimensionError, ParameterError, TruncationError
 from w9periods.periods import LAYOUT_COVER, build_cycles, period_matrix
-from w9periods.quadrature import QuadConfig
 from w9periods.siegel import symmetry_residual
 from w9periods.theta import (DEFAULT_POLICY, ThetaCharacteristic,
                              TruncationPolicy, all_characteristics,
@@ -88,7 +87,9 @@ def test_theta_rejects_non_finite_input():
 
 
 def test_theta_rejects_non_symmetric_matrix():
-    # the quadratic form reads only (Z + Z^T)/2; an asymmetric Z is an error
+    """The quadratic form reads only (Z + Z^T)/2, so an asymmetric Z is an
+    error; the bound, 1e-6 relative, admits a matrix typed as `--matrix`
+    input whose mirrored entries were rounded apart."""
     ch = ThetaCharacteristic((0, 0), (0, 0))
     with pytest.raises(ParameterError, match="not symmetric"):
         theta_char(ch, np.zeros(2), np.array([[1j, 0.5], [-0.5, 1j]]))
@@ -100,10 +101,10 @@ def test_theta_rejects_non_symmetric_matrix():
     Z = 100.0 * ZHAT1
     Z[0, 2] += 1e-5
     assert abs(theta_char(CH_ZERO3, np.zeros(3), Z) - 1.0) < 1e-12
-    # quadrature noise passes: a cover matrix at a loose quad tol, made
-    # 1e-9 (relative) off symmetric, above siegel's 1e-10
+    # a cover matrix made 1e-9 (relative) off symmetric, above siegel's
+    # 1e-10, passes
     cover = w9.double_cover(w9.curve_Qs(0.07))
-    Zq = period_matrix(cover, build_cycles(cover, LAYOUT_COVER), QuadConfig(tol=1e-4))
+    Zq = period_matrix(cover, build_cycles(cover, LAYOUT_COVER))
     Zq[0, 2] += 1e-9 * np.abs(Zq).max()
     assert symmetry_residual(Zq) > 1e-10 * np.abs(Zq).max()
     assert w9.theta_membership_check(Zq, shape_tol=1e-6) < 1e-6
