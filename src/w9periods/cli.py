@@ -144,9 +144,11 @@ def matrix_csv(M: np.ndarray) -> str:
 
 
 def emit(args, payload: dict, csv_text: str | None = None) -> None:
-    """Write csv_text for --format csv (checked in main), else payload as JSON."""
+    """Write csv_text for --format csv (checked in main), else payload as
+    JSON with a "metadata" object naming the package version."""
     out = (csv_text if args.format == "csv"
-           else json.dumps(payload, indent=2, allow_nan=False) + "\n")
+           else json.dumps({**payload, "metadata": {"version": __version__}},
+                           indent=2, allow_nan=False) + "\n")
     if not args.out:
         sys.stdout.write(out)
         return
@@ -179,9 +181,6 @@ BASES = {"genus2_w9": (5, periods.LAYOUT_GENUS2),
 
 
 def cmd_periods(args) -> int:
-    forms = [f for f in ("roots", "s", "u") if getattr(args, f) is not None]
-    if len(forms) != 1:
-        raise UsageError("give exactly one of --roots, --s, --u")
     curve = _base_curve_from_args(args)
     count, layout = BASES[args.basis]
     if len(curve.branch_points) != count:
@@ -192,7 +191,7 @@ def cmd_periods(args) -> int:
     # the cover also emits the base matrix it determines, first
     payload = ({"Z": encode_value(w9.base_from_cover(M)), "Zhat": encode_value(M)}
                if args.basis == "cover" else {"Z": encode_value(M)})
-    emit(args, {**payload, "metadata": {"version": __version__}}, matrix_csv(M))
+    emit(args, payload, matrix_csv(M))
     return 0
 
 
@@ -221,7 +220,6 @@ def cmd_theta(args) -> int:
         "parity": parity(ch),
         "truncation_radius": radius,
         "tail_bound": DEFAULT_POLICY.tail_tol,
-        "metadata": {"version": __version__},
     }
     emit(args, payload)
     return 0
@@ -259,8 +257,7 @@ def cmd_trace(args) -> int:
     # the NaN values of a failed point are written as JSON null
     points = [{k: v if k == "flags" or math.isfinite(v) else None
                for k, v in r.items()} for r in rows]
-    emit(args, {"points": points, "metadata": {"version": __version__}},
-         "\n".join(lines) + "\n")
+    emit(args, {"points": points}, "\n".join(lines) + "\n")
     return 2 if any(p.flags and p.flags[0].startswith("error:") for p in pts) else 0
 
 
@@ -293,8 +290,6 @@ def _verify_one(s: float) -> tuple[list[dict], bool]:
 
 
 def cmd_verify(args) -> int:
-    if (args.s is None) == (args.grid is None):
-        raise UsageError("give exactly one of --s or --grid")
     if args.s is not None:
         s_values = [parse_real(args.s, "--s")]
     else:
@@ -306,13 +301,11 @@ def cmd_verify(args) -> int:
         checks, good = _verify_one(float(s))
         all_checks.extend(checks)
         ok = ok and good
-    emit(args, {"pass": ok, "checks": all_checks, "metadata": {"version": __version__}})
+    emit(args, {"pass": ok, "checks": all_checks})
     return 0 if ok else 2
 
 
 def cmd_classify(args) -> int:
-    if (args.abc is None) == (args.s is None):
-        raise UsageError("give exactly one of --abc or --s")
     if args.abc is not None:
         parts = [parse_real(p, "--abc") for p in args.abc.split(",")]
         if len(parts) != 3:
@@ -348,31 +341,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """Prepend defaults from a flat key=value config file, if given."""
-    pre = _Parser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
-    path = known.config
-    if path is None:
-        return argv
-    extra = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"bad config line: {line!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                extra.extend([f"--{key}", value])
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-    # config keys are global flags; they go first so the command line wins
-    return extra + rest
-
-
 def _add_global_flags(parser, suppress: bool) -> None:
     def default(v):
         return argparse.SUPPRESS if suppress else v
@@ -393,9 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periods", parents=[common],
                        help="period matrix of a family curve")
-    p.add_argument("--roots", default=None)
-    p.add_argument("--s", default=None)
-    p.add_argument("--u", default=None)
+    form = p.add_mutually_exclusive_group(required=True)
+    form.add_argument("--roots")
+    form.add_argument("--s")
+    form.add_argument("--u")
     p.add_argument("--basis", choices=tuple(BASES), default="genus2_w9")
     p.set_defaults(func=cmd_periods, csv=True)
 
@@ -411,23 +380,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace, csv=True)
 
     p = sub.add_parser("verify", parents=[common], help="end-to-end family checks at s")
-    p.add_argument("--s", default=None)
-    p.add_argument("--grid", type=int, default=None)
+    form = p.add_mutually_exclusive_group(required=True)
+    form.add_argument("--s")
+    form.add_argument("--grid", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", parents=[common], help="automorphism classification")
-    p.add_argument("--abc", default=None)
-    p.add_argument("--s", default=None)
+    form = p.add_mutually_exclusive_group(required=True)
+    form.add_argument("--abc")
+    form.add_argument("--s")
     p.set_defaults(func=cmd_classify)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.format == "csv" and not getattr(args, "csv", False):
             raise UsageError(f"{args.command} has no CSV form; use --format json")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):

@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -110,7 +111,11 @@ LAYOUT_ELLIPTIC = "elliptic"
 
 @dataclass(frozen=True)
 class HyperellipticCurve:
-    """Finite branch points of y^2 = prod (x - x_j); infinity implicit if odd."""
+    """Finite branch points of y^2 = prod (x - x_j); infinity implicit if odd.
+
+    ParameterError if (2 max |x_j|)^max(3, n - 2) > DBL_MAX, n points: real
+    arcs multiply n - 2 moduli |x - r| <= 2 max |x_j| (anchors n/2, moments
+    fewer) and clearance squares rho_r <= 4 |r - m| / MIN_ROOT_SEPARATION."""
 
     branch_points: tuple[complex, ...]
 
@@ -120,6 +125,9 @@ class HyperellipticCurve:
             raise ParameterError("need at least 3 branch points")
         if not all(map(cmath.isfinite, pts)):
             raise ParameterError(f"branch points must be finite, got {pts}")
+        bound = 0.5 * sys.float_info.max ** (1.0 / max(3, len(pts) - 2))
+        if max(map(abs, pts)) > bound:
+            raise ParameterError(f"branch points must have modulus <= {bound:.3g}")
         sep, i, j = min((abs(pts[i] - pts[j]), i, j)
                         for i in range(len(pts)) for j in range(i + 1, len(pts)))
         if sep <= MIN_ROOT_SEPARATION:

@@ -86,15 +86,17 @@ def truncation_radius(lam: float, g: int, policy: TruncationPolicy,
     while True:
         count = g * math.log(2 * R + 1)
         arg = (count - math.log(policy.tail_tol) + math.pi * g * b * b / lam)
-        R_new = math.ceil(math.sqrt(g) * b / lam + math.sqrt(arg / (math.pi * lam))) + 2
+        reach = math.sqrt(g) * b / lam + math.sqrt(arg / (math.pi * lam))
+        # checked before ceil: a tiny lam makes reach huge, or infinite
+        if reach + 2 > MAX_RADIUS:
+            raise TruncationError(
+                f"required radius exceeds MAX_RADIUS = {MAX_RADIUS} "
+                f"(Im(Z) too small: lambda_min = {lam:.3e})"
+            )
+        R_new = math.ceil(reach) + 2
         if R_new <= R:
             return R
         R = R_new
-        if R > MAX_RADIUS:
-            raise TruncationError(
-                f"required radius {R} exceeds MAX_RADIUS = {MAX_RADIUS} "
-                f"(Im(Z) too small: lambda_min = {lam:.3e})"
-            )
 
 
 @lru_cache(maxsize=32)

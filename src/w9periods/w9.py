@@ -92,9 +92,10 @@ def _polish_root(coeffs: np.ndarray, x: complex) -> complex:
 
 
 def curve_Pu(u) -> HyperellipticCurve:
-    """The quintic curve y^2 = x (x - 1) (x^3 + u x^2 - (8/3) u x + (16/9) u)."""
-    if u in (0, -9) or not np.isfinite(u):
-        raise ParameterError(f"u = {u} is excluded")
+    """The quintic curve y^2 = x (x - 1) (x^3 + u x^2 - (8/3) u x + (16/9) u),
+    for |u| <= 3.5e102: its cubic's terms at the root near -u reach 2 |u|^3."""
+    if u in (0, -9) or not abs(u) <= 3.5e102:  # not finite, or the cubic overflows
+        raise ParameterError(f"u = {u} is excluded: need u != 0, -9, |u| <= 3.5e102")
     coeffs = np.array([1.0, u, -8.0 * u / 3.0, 16.0 * u / 9.0], dtype=complex)
     cubic = [_polish_root(coeffs, r) for r in np.roots(coeffs)]
     pts = [0.0 + 0j, 1.0 + 0j] + cubic
@@ -229,15 +230,6 @@ def cirre_classify(a: float, b: float, c: float) -> AutomorphismReport:
     if held == 1:
         return AutomorphismReport("D2", "D4", matched)
     return AutomorphismReport("D6", "G24", matched)
-
-
-def normalize_branch_points(roots) -> tuple[float, float, float]:
-    """Affine map of 5 distinct reals onto {0, a, b, c, 1}; returns (a, b, c)."""
-    vals = sorted(float(r) for r in roots)
-    if len(vals) != 5 or min(y - x for x, y in zip(vals, vals[1:])) <= 0:
-        raise ParameterError("need 5 distinct real roots")
-    lo, hi = vals[0], vals[-1]
-    return tuple((v - lo) / (hi - lo) for v in vals[1:4])
 
 
 def involution_residuals(s: float) -> dict[str, float]:

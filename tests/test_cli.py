@@ -72,7 +72,9 @@ def test_periods_cover_fixture(capsys, tmp_path):
 
 def test_periods_usage_errors(capsys):
     code, _, err = run(capsys, "periods", "--s", "0.2", "--u", "-18")
-    assert code == 1 and "exactly one of --roots, --s, --u" in err
+    assert code == 1 and "argument --u: not allowed with argument --s" in err
+    code, _, err = run(capsys, "periods", "--basis", "cover")
+    assert code == 1 and "one of the arguments --roots --s --u is required" in err
     # the order-4 subfamily's --lambda is not an option
     code, _, _ = run(capsys, "periods", "--lambda", "2")
     assert code == 1
@@ -312,10 +314,67 @@ def test_classify_abc(capsys):
     assert data["complex_group"] == "G24"
 
 
+@pytest.mark.parametrize("abc, groups, matched", [
+    ("1/5,2/5,7/10", ["Z2", "D2"], ["a=b(c-1)/(b-1)"]),
+    ("1/4,1/2,3/4", ["D2", "D4"], ["a=1+c-c/b", "a=b(c-1)/(b-1)"]),
+])
+def test_classify_abc_complex_group_larger(capsys, abc, groups, matched):
+    code, out, _ = run(capsys, "classify", "--abc", abc)
+    assert code == 0
+    data = json.loads(out)
+    assert [data["real_group"], data["complex_group"]] == groups
+    assert [c["condition"] for c in data["matched_conditions"]] == matched
+    assert data["metadata"] == {"version": w9periods.__version__}
+
+
 def test_classify_s(capsys):
     code, out, _ = run(capsys, "classify", "--s", "2-sqrt(3)")
     assert code == 0
-    assert json.loads(out)["satisfied"] == ["A", "D"]
+    data = json.loads(out)
+    assert data["satisfied"] == ["A", "D"]
+    assert data["metadata"] == {"version": w9periods.__version__}
+
+
+# Every failure exits 1 (usage) or 2 (numerical or domain) with one line on
+# stderr; run in-process, so a leaked warning fails as an error.  periods'
+# exactly-one rule is checked in test_periods_usage_errors.
+@pytest.mark.parametrize("argv, code, fragment", [
+    pytest.param(["periods", "--roots=-1,0,1,1e160,2e160"], 2,
+                 "modulus <= 2.82e+102", id="periods-products-overflow"),
+    pytest.param(["periods", "--u", "1e300"], 2, "|u| <= 3.5e102",
+                 id="periods-u-cubic-overflows"),
+    pytest.param(["theta", "--char", "0;0", "--matrix", "[[1e-300i]]"], 2,
+                 "MAX_RADIUS = 60 (Im(Z) too small: lambda_min = 1.000e-300)",
+                 id="theta-radius-too-large"),
+    pytest.param(["theta", "--char", "0;0", "--matrix", "[[1e-320i]]"], 2,
+                 "lambda_min = 1.000e-320", id="theta-radius-infinite"),
+    pytest.param(["trace", "--from", "1", "--to", "2", "--steps", "0"], 2,
+                 "steps must be >= 1", id="trace-no-steps"),
+    pytest.param(["verify", "--grid", "0"], 1, "--grid must be at least 1",
+                 id="verify-empty-grid"),
+    pytest.param(["periods", "--s", "sqrt(-1)"], 1, "--s must be real",
+                 id="periods-complex-s"),
+    pytest.param(["classify", "--abc", "0.5,0.4,0.7"], 2,
+                 "need 0 < a < b < c < 1", id="classify-unordered"),
+    pytest.param(["verify", "--s", "0.2", "--grid", "3"], 1,
+                 "argument --grid: not allowed with argument --s",
+                 id="verify-both-forms"),
+    pytest.param(["verify"], 1, "one of the arguments --s --grid is required",
+                 id="verify-no-form"),
+    pytest.param(["classify", "--abc", "1/3,1/2,2/3", "--s", "0.1"], 1,
+                 "argument --s: not allowed with argument --abc",
+                 id="classify-both-forms"),
+    pytest.param(["classify"], 1, "one of the arguments --abc --s is required",
+                 id="classify-no-form"),
+    # no config file is read: --config is an unknown flag
+    pytest.param(["--config", "x.cfg", "classify", "--s", "0.1"], 1, "",
+                 id="config-flag"),
+])
+def test_exit_code_contract(capsys, argv, code, fragment):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("usage error: " if code == 1 else "error: ")
+    assert err.count("\n") == 1 and fragment in err
 
 
 def test_module_entry_point():
@@ -359,31 +418,6 @@ def test_json_matrix_roundtrip(capsys, tmp_path):
     curve = periods.HyperellipticCurve((-1.0, 0.0, 1.0, 2.0, 3.0))
     Z = periods.period_matrix(curve, periods.build_cycles(curve, periods.LAYOUT_GENUS2))
     assert np.array_equal(M, Z)
-
-
-def test_config_file(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# global flags\nformat=json\n")
-    code, out, _ = run(capsys, "--config", str(cfg), "classify", "--s", "0.1")
-    assert code == 0
-    assert json.loads(out)["satisfied"] == []
-    # a key that is no flag exits 1, as the flag itself does
-    cfg.write_text("quad-tol=1e-9\nformat=json\n")
-    code, _, _ = run(capsys, "--config", str(cfg), "classify", "--s", "0.1")
-    assert code == 1
-
-
-def test_config_file_equals_form(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=csv\n")
-    code, out, _ = run(capsys, f"--config={cfg}", "periods", "--s", "0.2")
-    assert code == 0
-    assert out.startswith("row,col,re,im\n")
-    # the command line wins over the file, --config may come last
-    code, out, _ = run(capsys, "periods", "--u", "-18", "--format", "json",
-                       "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)["metadata"] == {"version": w9periods.__version__}
 
 
 def test_determinism(capsys):

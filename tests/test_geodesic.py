@@ -383,6 +383,10 @@ def test_extract_ty_roundtrip():
         assert abs(t2 - t) < 1e-12 and abs(y2 - y) < 1e-12
     with pytest.raises(ShapeMismatchError):
         geo.extract_ty_from_cover(1j * np.eye(3))
+    # the cover pattern with a real part in z1: off the real locus
+    shape = w9.cover_shape_extract(ZHAT1)
+    with pytest.raises(ParameterError, match="real part"):
+        geo.extract_ty_from_cover(w9.CoverShape(shape.z1 + 0.1, shape.z13).matrix())
 
 
 def test_extract_ty_from_quadrature_cover():

@@ -91,6 +91,33 @@ def test_non_finite_branch_points_rejected():
             HyperellipticCurve((-1.0, 0.0, bad, 2.0, 3.0))
 
 
+def test_branch_points_whose_products_overflow_rejected():
+    # refused when the curve is built: the real arc -1 -> 0 of this curve
+    # once summed inf moduli to 0, and the clearance test raised OverflowError
+    with pytest.raises(ParameterError, match=r"modulus <= 2\.82e\+102"):
+        HyperellipticCurve((-1.0, 0.0, 1.0, 1e160, 2e160))
+    with pytest.raises(ParameterError, match=r"modulus <= 1\.19e\+51"):
+        HyperellipticCurve((-2e51, -2.0, -1.0, 1j, -1j, 1.0, 2.0, 2e51))
+    # below the bound each layout returns a matrix or a typed error, with no
+    # overflow warning; a separation of 1e-11 makes rho_r about 1e114
+    for roots, layout in (((0.0, 1e-11, 2.8e102), LAYOUT_ELLIPTIC),
+                          ((-1.0, 0.0, 1e-11, 1.0, 2.8e102), LAYOUT_GENUS2),
+                          ((-1.0, 0.0, 1.0, 1.4e102, 2.8e102), LAYOUT_GENUS2),
+                          ((-1.18e51, -2.0, -1.0, 1j, -1j, 1.0, 2.0, 1.18e51),
+                           LAYOUT_COVER)):
+        curve = HyperellipticCurve(roots)
+        try:
+            period_matrix(curve, build_cycles(curve, layout))
+        except W9Error:
+            pass
+    # the README's largest branch point, c = 1.8e22 at s = sqrt(3)/3 - 1e-11
+    curve = w9.curve_Qs(SQRT3 / 3 - 1e-11)
+    assert max(map(abs, curve.branch_points)) > 1.7e22
+    period_matrix(curve, build_cycles(curve, LAYOUT_GENUS2))
+    cover = w9.double_cover(curve)
+    period_matrix(cover, build_cycles(cover, LAYOUT_COVER))
+
+
 def _track_signs(w: np.ndarray, anchor_index: int,
                  anchor_value: complex) -> np.ndarray:
     """Sign table making the square-root samples w continuous from the anchor."""

@@ -26,8 +26,8 @@ def test_nodes_structure():
 
 def test_levels_nest():
     # the nodes of level L are the even-indexed nodes of level L+1 and the
-    # weights halve with the step, bit for bit: the nested refinement in
-    # periods.arc_integrals evaluates only the odd nodes of each new level
+    # weights halve with the step, bit for bit: the nesting that
+    # tanh_sinh_nodes promises the tanh-sinh oracle of the periods tests
     for level in range(5, 12):
         u, one_minus, one_plus, w = tanh_sinh_nodes(level)
         u1, one_minus1, one_plus1, w1 = tanh_sinh_nodes(level + 1)

@@ -90,6 +90,10 @@ def test_curve_pu_fixture():
         w9.curve_Pu(-9)
     with pytest.raises(ParameterError):
         w9.curve_Pu(math.inf)
+    # the cubic's terms at its root near -u would overflow
+    for u in (1e300, -4e102):
+        with pytest.raises(ParameterError, match=r"\|u\| <= 3\.5e102"):
+            w9.curve_Pu(u)
 
 
 def test_curve_pu_roots_real_iff_below_minus9():
@@ -187,6 +191,14 @@ def test_cirre_classify_cases():
     assert (r.real_group, r.complex_group) == ("D2", "D2")
     r = w9.cirre_classify(0.2, 0.5, 0.7)
     assert (r.real_group, r.complex_group) == ("Z2", "Z2")
+    # a = b(c-1)/(b-1) holds: the complex group is twice the real one
+    r = w9.cirre_classify(0.2, 0.4, 0.7)
+    assert (r.real_group, r.complex_group) == ("Z2", "D2")
+    assert [name for name, _ in r.matched_conditions] == ["a=b(c-1)/(b-1)"]
+    r = w9.cirre_classify(0.25, 0.5, 0.75)
+    assert (r.real_group, r.complex_group) == ("D2", "D4")
+    assert ([name for name, _ in r.matched_conditions]
+            == ["a=1+c-c/b", "a=b(c-1)/(b-1)"])
     with pytest.raises(ParameterError):
         w9.cirre_classify(0.5, 0.4, 0.7)
 
@@ -200,19 +212,6 @@ def test_cirre_real_complex_coincidence():
         r = w9.cirre_classify(float(a), float(b), float(c))
         coincide = abs(a - b * (c - 1) / (b - 1)) >= 1e-9
         assert (r.real_group == r.complex_group) == coincide
-
-
-def test_normalize_branch_points():
-    roots = [p.real for p in w9.curve_Pu(-18.0).branch_points]
-    a, b, c = w9.normalize_branch_points(roots)
-    hi = 8 + 4 * SQRT3
-    assert abs(a - 1.0 / hi) < 1e-12
-    assert abs(b - (8 - 4 * SQRT3) / hi) < 1e-12
-    assert abs(c - 2.0 / hi) < 1e-12
-    assert 0 < a < b < c < 1
-    assert w9.normalize_branch_points([0, 0.3, 0.4, 0.5, 1]) == (0.3, 0.4, 0.5)
-    with pytest.raises(ParameterError):
-        w9.normalize_branch_points([0, 0, 1, 2, 3])
 
 
 def test_involution_conditions():
