@@ -35,7 +35,7 @@ class UsageError(Exception):
 # expression evaluator
 
 # "<number>i" and a lone "i" become Python imaginary literals ("4i" -> "4j")
-_IMAGINARY = re.compile(r"(?<![\w.])(\d+\.?\d*|\.\d+)?\s*i(?!\w)")
+_IMAGINARY = re.compile(r"(?<![\w.])((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*i(?!\w)")
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
            ast.Mult: operator.mul, ast.Div: operator.truediv}
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
@@ -393,8 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_flags_before_command(argv) -> None:
+    """Refuse an unknown flag before the subcommand by its name, where the
+    top-level parser would take the flag's value for the subcommand."""
+    lead = _Parser(add_help=False)
+    _add_global_flags(lead, suppress=True)
+    lead.add_argument("-h", "--help", action="store_true")
+    lead.add_argument("rest", nargs=argparse.REMAINDER)
+    if unknown := lead.parse_known_args(argv)[1]:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+
+
 def main(argv=None) -> int:
     try:
+        _refuse_flags_before_command(argv)
         args = build_parser().parse_args(argv)
         if args.format == "csv" and not getattr(args, "csv", False):
             raise UsageError(f"{args.command} has no CSV form; use --format json")

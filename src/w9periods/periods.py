@@ -9,14 +9,19 @@ integer combination of finite arcs only.
 
 Orientation convention: each arc is integrated from its start to its end
 point, in the order build_cycles lists the arcs, and the square root on
-it is anchored at the arc midpoint by the principal-branch product
-prod_j sqrt(x - x_j), then extended along the arc by continuity (below).
-On the real axis approached from above this product is the determination
-continuous on the upper half-plane, so the anchors of all real arcs are
-consistent without any per-arc sign.  It reproduces the exact period
-matrices of the 3-square-tiled surface (s = 2 - sqrt(3)) and tau = i for
-y^2 = x^3 - x, and test_sqrt_determination_chain checks the genus-2
-midpoint anchors against continuation between arcs.
+it is anchored at the arc midpoint m by the principal-branch product
+A = prod_j sqrt(m - x_j), then extended along the arc by continuity
+(below).  A's end factors m - z0 and m - z1 are h = (z1 - z0) / 2 and
+0.0 - h, exact and with their zero signs; from the rounded m they lose
+1.5e-11 on the cover's arc a -> b, 2e-11 long at s = sqrt(3)/3 - 1e-11.
+On the real axis approached from above A is the determination continuous
+on the upper half-plane, so the anchors of all real arcs are consistent
+without any per-arc sign; a factor within 2 NEAR_REAL below the negative
+real axis, where the layouts' nearly real branch points can put it, is
+taken from above.  It reproduces the exact period matrices of the
+3-square-tiled surface (s = 2 - sqrt(3)) and tau = i for y^2 = x^3 - x,
+and test_sqrt_determination_chain checks the genus-2 midpoint anchors
+against continuation between arcs.
 
 Mirror pairs: when the branch points are closed under x -> -x,
 P(-x) = (-1)^n P(x) for n = len(branch_points).  Let arc j run from z0
@@ -45,9 +50,7 @@ arccos(u_r), u_r = (r - m) / h, and the images -theta_r, 2 pi - theta_r;
 |Im theta_r| = ln rho_r for the Bernstein ellipse
 rho_r = |u_r + sqrt(u_r^2 - 1)| through r (the root on u_r's side,
 Re(conj(u_r) sqrt) >= 0, as the other cancels for a root far along the
-arc's line).  On a real arc of a conjugation-closed curve every factor is
-positive, or a conjugate pair's |x - r|^2 / |m - r|^2, so the root is A
-times float64 moduli.
+arc's line).
 
 Gauss-Chebyshev arcs: the midpoint rule in theta, N nodes
 u_j = cos((2j - 1) pi / (2N)) of weight pi / N, errs by O(rho^(-2N)) for
@@ -97,6 +100,8 @@ from .quadrature import QUARTER, chebyshev_nodes, graded_nodes
 from .siegel import is_riemann_matrix, lu_solve
 
 MIN_ROOT_SEPARATION = 1e-12
+# the layouts take a branch point within NEAR_REAL of the real axis as real
+NEAR_REAL = 1e-9
 CLEARANCE_FACTOR = 1e-3
 # Gauss-Chebyshev arcs: N nodes for an error of rho^(-2N) <= 1e-15, taken
 # up to the N where the graded rule becomes the faster of the two
@@ -113,9 +118,10 @@ LAYOUT_ELLIPTIC = "elliptic"
 class HyperellipticCurve:
     """Finite branch points of y^2 = prod (x - x_j); infinity implicit if odd.
 
-    ParameterError if (2 max |x_j|)^max(3, n - 2) > DBL_MAX, n points: real
-    arcs multiply n - 2 moduli |x - r| <= 2 max |x_j| (anchors n/2, moments
-    fewer) and clearance squares rho_r <= 4 |r - m| / MIN_ROOT_SEPARATION."""
+    ParameterError if (2 max |x_j|)^max(3, n - 2) > DBL_MAX, n points: an
+    arc's anchor has n roots of |m - x_j| <= 2 max |x_j| (moments fewer),
+    and its clearance test squares rho_r <= 4 |r - m| / MIN_ROOT_SEPARATION.
+    n - 2, above n/2, keeps the set of accepted curves as it was."""
 
     branch_points: tuple[complex, ...]
 
@@ -143,23 +149,11 @@ class HyperellipticCurve:
         return self._clearance
 
     @cached_property
-    def closed_under_conjugation(self) -> bool:
-        return _closed_under(self.branch_points, lambda r: r.conjugate())
-
-    @cached_property
     def closed_under_negation(self) -> bool:
-        return _closed_under(self.branch_points, lambda r: -r)
-
-    @cached_property
-    def all_real(self) -> bool:
-        return not any(r.imag for r in self.branch_points)
-
-
-def _closed_under(pts, image) -> bool:
-    """True iff image(r) is a branch point, to MIN_ROOT_SEPARATION, for all r."""
-    pts = np.array(pts)
-    return bool(np.abs(np.subtract.outer(image(pts), pts)).min(axis=1).max()
-                <= MIN_ROOT_SEPARATION)
+        """True iff -r is a branch point, to MIN_ROOT_SEPARATION, for all r."""
+        pts = np.array(self.branch_points)
+        return bool(np.abs(np.add.outer(pts, pts)).min(axis=1).max()
+                    <= MIN_ROOT_SEPARATION)
 
 
 @dataclass(frozen=True)
@@ -217,10 +211,22 @@ def _segment_distance(z0: complex, z1: complex, p: complex) -> float:
     return abs(p - (z0 + t * d))
 
 
-def _principal_anchor(roots, x0: complex) -> complex:
+def _foreign(pts, path: ArcPath) -> list[complex]:
+    """The branch points farther than MIN_ROOT_SEPARATION from both ends."""
+    z0, z1 = path.start, path.end
+    return [r for r in pts if abs(r - z0) > MIN_ROOT_SEPARATION < abs(r - z1)]
+
+
+def _anchor(path: ArcPath, foreign) -> complex:
+    """The arc's midpoint anchor A = prod_j sqrt(m - x_j), formed as the
+    module docstring says: end factors from h, nearly real factors from above."""
+    m, h = 0.5 * (path.start + path.end), 0.5 * (path.end - path.start)
     val = complex(1.0)
-    for r in roots:
-        val *= cmath.sqrt(x0 - r)
+    for w in [h, 0.0 - h] + [m - r for r in foreign]:
+        root = cmath.sqrt(w)
+        if root.imag < 0 and w.real < 0 and w.imag >= -2.0 * NEAR_REAL:
+            root = -root
+        val *= root
     return val
 
 
@@ -233,11 +239,6 @@ def _moments(x: np.ndarray, f: np.ndarray, kmax: int) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _real_arc(curve: HyperellipticCurve, path: ArcPath) -> bool:
-    """True iff the arc is real and the branch points closed under conjugation."""
-    return path.start.imag == 0 == path.end.imag and curve.closed_under_conjugation
-
-
 def arc_integrals(curve: HyperellipticCurve, path: ArcPath) -> np.ndarray:
     """Integrals of x^(k-1) dx / sqrt(P) along the arc for k = 1..genus.
 
@@ -248,11 +249,9 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath) -> np.ndarray:
     m, h = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
     clear = curve.clearance()
     rho = math.inf
-    foreign = []
+    foreign = _foreign(curve.branch_points, path)
     near = []  # (r, u_r) of the foreign roots with |Im theta_r| = ln(rho_r) < QUARTER
-    for r in curve.branch_points:
-        if abs(r - z0) <= MIN_ROOT_SEPARATION or abs(r - z1) <= MIN_ROOT_SEPARATION:
-            continue
+    for r in foreign:
         u = (r - m) / h
         # the root of u^2 - 1 on u's side, so |u + root| >= 1 without cancellation
         root = cmath.sqrt(u * u - 1.0)
@@ -267,7 +266,6 @@ def arc_integrals(curve: HyperellipticCurve, path: ArcPath) -> np.ndarray:
                 f"arc {z0}->{z1} passes within {clear:g} of branch point {r}"
             )
         rho = min(rho, rho_r)
-        foreign.append(r)
         if rho_r < _NEAR_RHO:
             near.append((r, u))
     if rho > 1.0:
@@ -286,30 +284,19 @@ def _sums(curve: HyperellipticCurve, path: ArcPath, anchors, index,
     """(h / A) sum_j w_j x_j^(k-1) / prod_r sqrt((x_j - r) / (m - r)), k =
     1..genus, at x_j = anchor + h offsets[j], anchor = anchors[index[j]]
     (or the one anchor, if index is None), with x_j - r formed as
-    (anchor - r) + h offsets[j]."""
+    (anchor - r) + h offsets[j] in one row per root."""
     m, h = 0.5 * (path.start + path.end), 0.5 * (path.end - path.start)
-    anchor = _principal_anchor(curve.branch_points, m)
-    scale = h / anchor
     roots = np.array(foreign)
-    real = _real_arc(curve, path)
-    if real:
-        # |A| = |h| sqrt(prod_r |m - r|), as |m - z0| = |m - z1| = |h|
-        scale *= abs(anchor) / abs(h)
-        h, anchors = h.real, anchors.real
-        if curve.all_real:
-            roots = roots.real
     dx = h * offsets
     if index is None:
         x = anchors + dx
-        diffs = np.add.outer(dx, anchors - roots)
+        ratios = np.add.outer(anchors - roots, dx)
     else:
         x = anchors[index] + dx
-        diffs = np.subtract.outer(anchors, roots)[index] + dx[:, None]
-    if real:
-        f = weights / np.sqrt(np.abs(diffs.prod(axis=1)))
-    else:
-        f = weights / np.sqrt(diffs / (m - roots)).prod(axis=1)
-    return scale * _moments(x, f, curve.genus)
+        ratios = np.subtract.outer(anchors, roots).T[:, index] + dx
+    ratios /= (m - roots)[:, None]
+    f = weights / np.sqrt(ratios, out=ratios).prod(axis=0)
+    return h / _anchor(path, foreign) * _moments(x, f, curve.genus)
 
 
 def _theta(path: ArcPath, h: complex, r: complex, u: complex) -> complex:
@@ -396,18 +383,19 @@ def _layout(quarters: tuple):
 
 
 def build_cycles(curve: HyperellipticCurve, layout: str) -> CyclePlan:
-    """Arcs and symplectic basis rows for one of the supported layouts."""
-    pts = list(curve.branch_points)
+    """Arcs and symplectic basis rows for one of the supported layouts.
+
+    The arcs join the curve's own branch points, those the layout's checks
+    matched, so no arc end is off its branch point by the checks' tolerance."""
+    pts = sorted(map(complex, curve.branch_points), key=lambda p: p.real)
     if layout == LAYOUT_GENUS2:
-        if len(pts) != 5 or any(abs(p.imag) > 1e-9 for p in pts):
+        if len(pts) != 5 or any(abs(p.imag) > NEAR_REAL for p in pts):
             raise LayoutError("genus-2 M-curve layout needs 5 real branch points")
-        xs = sorted(p.real for p in pts)
-        if abs(xs[0] + 1) > 1e-6 or abs(xs[1]) > 1e-6 or xs[2] <= 0:
+        if abs(pts[0].real + 1) > 1e-6 or abs(pts[1].real) > 1e-6 or pts[2].real <= 0:
             raise LayoutError(
                 "genus-2 layout expects roots -1, 0 and three positive reals"
             )
-        ordered = [complex(v) for v in xs]
-        arcs = tuple(ArcPath(ordered[i], ordered[i + 1]) for i in range(4)) + (None, None)
+        arcs = tuple(ArcPath(pts[i], pts[i + 1]) for i in range(4)) + (None, None)
         alpha = ((1, 1, 0, 1, 0, 0), (0, 0, 0, 1, 0, 0))
         beta = ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))
         return CyclePlan(layout, arcs, alpha, beta)
@@ -415,18 +403,16 @@ def build_cycles(curve: HyperellipticCurve, layout: str) -> CyclePlan:
     if layout == LAYOUT_COVER:
         if len(pts) != 8:
             raise LayoutError("cover layout needs 8 branch points")
-        if not all(any(abs(p - v) <= 1e-6 for p in pts) for v in (1j, -1j)):
+        i_pts = [min(pts, key=lambda p: abs(p - v)) for v in (1j, -1j)]
+        if any(abs(p - v) > 1e-6 for p, v in zip(i_pts, (1j, -1j))):
             raise LayoutError("cover layout needs branch points at +i and -i")
-        reals = sorted(p.real for p in pts if abs(p.imag) < 1e-9)
-        if len(reals) != 6 or reals[0] >= 0 or reals[3] <= 0:
+        reals = [p for p in pts if abs(p.imag) < NEAR_REAL]
+        if len(reals) != 6 or reals[0].real >= 0 or reals[3].real <= 0:
             raise LayoutError("cover layout needs six real branch points +-a, +-b, +-c")
-        a, b, c = reals[3], reals[4], reals[5]
-        for v, w_ in zip(reals[:3], (-c, -b, -a)):
-            if abs(v - w_) > 1e-6:
-                raise LayoutError("cover branch points must be symmetric about 0")
-        order = [-c, -b, -a, 1j, -1j, a, b, c]
-        arcs = tuple(ArcPath(complex(order[i]), complex(order[i + 1]))
-                     for i in range(7)) + (None,)
+        if any(abs(v.real + w.real) > 1e-6 for v, w in zip(reals[:3], reals[:2:-1])):
+            raise LayoutError("cover branch points must be symmetric about 0")
+        order = reals[:3] + i_pts + reals[3:]
+        arcs = tuple(ArcPath(order[i], order[i + 1]) for i in range(7)) + (None,)
         alpha = (
             (1, 0, 0, 0, 0, 0, 0, 0),
             (1, 0, 1, 1, 0, 0, 0, 0),
@@ -440,11 +426,9 @@ def build_cycles(curve: HyperellipticCurve, layout: str) -> CyclePlan:
         return CyclePlan(layout, arcs, alpha, beta)
 
     if layout == LAYOUT_ELLIPTIC:
-        if len(pts) != 3 or any(abs(p.imag) > 1e-9 for p in pts):
+        if len(pts) != 3 or any(abs(p.imag) > NEAR_REAL for p in pts):
             raise LayoutError("elliptic layout needs 3 real branch points")
-        xs = sorted(p.real for p in pts)
-        arcs = (ArcPath(complex(xs[0]), complex(xs[1])),
-                ArcPath(complex(xs[1]), complex(xs[2])), None, None)
+        arcs = (ArcPath(pts[0], pts[1]), ArcPath(pts[1], pts[2]), None, None)
         return CyclePlan(layout, arcs, ((0, 1, 0, 0),), ((1, 0, 0, 0),))
 
     raise LayoutError(f"unknown layout {layout!r}")
@@ -478,12 +462,11 @@ def period_matrices(curve: HyperellipticCurve, plan: CyclePlan) -> PeriodPair:
             integrals[j] = arc_integrals(curve, arc)
             integrated[arc.start, arc.end] = j
             continue
-        # I_j,k = (-1)^(k+1) I_i,k / eps, eps = A_j / A_i rounded to its unit;
-        # A_i from arc i as stored, as arc_integrals anchored it (the
-        # principal root of a negative real depends on the sign of its zero)
+        # I_j,k = (-1)^(k+1) I_i,k / eps, eps = A_j / A_i rounded to its unit,
+        # both anchors as arc_integrals forms them (the principal root of a
+        # negative real depends on the sign of its zero)
         twin = plan.arcs[i]
-        ratio = (_principal_anchor(pts, 0.5 * (arc.start + arc.end))
-                 / _principal_anchor(pts, 0.5 * (twin.start + twin.end)))
+        ratio = _anchor(arc, _foreign(pts, arc)) / _anchor(twin, _foreign(pts, twin))
         integrals[j] = integrals[i] / complex(round(ratio.real), round(ratio.imag))
         integrals[j, 1::2] *= -1.0
     return PeriodPair(np.array(plan.alpha_rows) @ integrals,

@@ -36,6 +36,10 @@ def test_expression_parser():
     assert cli.parse_expr("1/3") == pytest.approx(1.0 / 3.0)
     assert cli.parse_expr("i") == 1j
     assert cli.parse_expr("4i/3") == pytest.approx(4j / 3)
+    # an exponent, signed or not, belongs to the imaginary literal
+    for text, val in (("2e3i", 2e3j), ("1E+3i", 1e3j), ("1.5e3i", 1.5e3j),
+                      (".5e-3i", 0.5e-3j)):
+        assert cli.parse_expr(text) == val, text
     # the i suffix binds to the literal, so 4/3i means 4/(3i)
     assert cli.parse_expr("4/3i") == pytest.approx(-4j / 3)
     assert cli.parse_expr("-(2+3)*2") == -10
@@ -116,6 +120,18 @@ def test_periods_csv_cells_are_plain_floats(capsys):
         Z[int(i), int(j)] = complex(float(re), float(im))
     _, out, _ = run(capsys, "periods", "--roots=-1,0,1,2,3")
     assert np.array_equal(Z, as_matrix(json.loads(out)["Z"]))
+
+
+def test_global_flags_before_or_after_command(capsys, tmp_path):
+    # --format and --out work on either side of the subcommand, which the
+    # refusal of unknown flags before it must not disturb
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert run(capsys, "--format", "csv", "--out", str(before),
+               "periods", "--roots=-1,0,1,2,3")[0] == 0
+    assert run(capsys, "periods", "--roots=-1,0,1,2,3",
+               "--format", "csv", "--out", str(after))[0] == 0
+    assert before.read_text() == after.read_text()
+    assert before.read_text().startswith("row,col,re,im")
 
 
 def test_csv_refused_before_any_work(capsys, monkeypatch):
@@ -367,8 +383,12 @@ def test_classify_s(capsys):
     pytest.param(["classify"], 1, "one of the arguments --abc --s is required",
                  id="classify-no-form"),
     # no config file is read: --config is an unknown flag
-    pytest.param(["--config", "x.cfg", "classify", "--s", "0.1"], 1, "",
-                 id="config-flag"),
+    pytest.param(["--config", "x.cfg", "classify", "--s", "0.1"], 1,
+                 "unrecognized arguments: --config", id="config-flag"),
+    # an unknown flag before the subcommand is named, not its value
+    pytest.param(["--quad-tol", "1e-9", "verify", "--s", "0.2"], 1,
+                 "unrecognized arguments: --quad-tol",
+                 id="unknown-flag-before-command"),
 ])
 def test_exit_code_contract(capsys, argv, code, fragment):
     got, out, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -10,12 +11,17 @@ from w9periods.errors import (DegeneracyError, LayoutError, ParameterError,
                               PathError, W9Error)
 from w9periods.periods import (CLEARANCE_FACTOR, LAYOUT_COVER, LAYOUT_ELLIPTIC,
                                LAYOUT_GENUS2, MIN_ROOT_SEPARATION, ArcPath,
-                               HyperellipticCurve, _principal_anchor,
-                               _segment_distance, arc_integrals, build_cycles,
+                               HyperellipticCurve, _segment_distance,
+                               arc_integrals, build_cycles,
                                period_matrices, period_matrix)
 from w9periods.quadrature import tanh_sinh_nodes
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _principal_anchor(roots, x0):
+    """The arc's anchor by its definition, prod_j sqrt(x0 - x_j) at the midpoint x0."""
+    return math.prod(cmath.sqrt(x0 - r) for r in roots)
 
 
 def genus2_curve():
@@ -244,14 +250,14 @@ def _count_graded(monkeypatch):
 
 
 @pytest.mark.parametrize("layout, arc", [(LAYOUT_GENUS2, 2), (LAYOUT_COVER, 0)])
-def test_real_kernel_matches_mpmath(monkeypatch, layout, arc):
-    # genus-2 arc a -> b and cover arc -c -> -b at s = 0.05, sent to the
-    # graded rule, run the float64-moduli kernel sqrt(P) = A sqrt(P / P(m));
-    # against 30-digit mpmath.quad of the positive ratio, divided by the same anchor A
+def test_conjugation_closed_real_arcs_match_mpmath(monkeypatch, layout, arc):
+    # genus-2 arc a -> b and cover arc -c -> -b at s = 0.05, real arcs of
+    # curves closed under conjugation, sent to the graded rule; against
+    # 30-digit mpmath.quad of the positive ratio P / P(m) over the real
+    # segment, divided by the principal anchor A
     base = w9.curve_Qs(0.05)
     curve = base if layout == LAYOUT_GENUS2 else w9.double_cover(base)
     path = build_cycles(curve, layout).arcs[arc]
-    assert periods._real_arc(curve, path)
     calls = _count_graded(monkeypatch)
     monkeypatch.setattr(periods, "CHEBYSHEV_MAX_NODES", 0)
     got = arc_integrals(curve, path)
@@ -456,6 +462,34 @@ def test_rho_rounding_to_one_matches_mpmath(monkeypatch):
             lambda x: 1 / mpmath.sqrt(mpmath.fprod(x - r for r in roots) / Pm),
             [-1e5, -1, -1e-6, -1e-10, 0])) / anchor
     assert abs(got[0] - ref) <= 1e-14 * abs(ref)
+
+
+GENUS2_ROOTS = (-1, 0, 1, 2, 3)
+COVER_ROOTS = (-3, -2, -1, 1j, -1j, 1, 2, 3)
+
+
+@pytest.mark.parametrize("exact, i, moved, layout", [
+    pytest.param(GENUS2_ROOTS, 4, 3 + 1e-10j, LAYOUT_GENUS2, id="genus2-3+1e-10i"),
+    pytest.param(COVER_ROOTS, 3, 1j + 1e-8, LAYOUT_COVER, id="cover-i+1e-8"),
+    pytest.param(COVER_ROOTS, 2, -1 - 1e-8, LAYOUT_COVER, id="cover-(-1-1e-8)"),
+    # a point inside the chain, above or below the axis: the anchors of the
+    # arcs on either side must still be one determination
+    pytest.param(GENUS2_ROOTS, 2, 1 + 1e-10j, LAYOUT_GENUS2, id="genus2-1+1e-10i"),
+    pytest.param(COVER_ROOTS, 6, 2 - 1e-10j, LAYOUT_COVER, id="cover-2-1e-10i"),
+])
+def test_layouts_join_the_curves_own_branch_points(exact, i, moved, layout):
+    # the layouts take the moved point as real, +-i or symmetric; the arcs
+    # end at the points themselves, and the matrix is that of the exact
+    # curve up to the move
+    roots = exact[:i] + (moved,) + exact[i + 1:]
+    curve = HyperellipticCurve(tuple(map(complex, roots)))
+    plan = build_cycles(curve, layout)
+    ends = {z for arc in plan.arcs if arc for z in (arc.start, arc.end)}
+    assert ends == set(curve.branch_points)
+    Z = period_matrix(curve, plan)
+    ref_curve = HyperellipticCurve(tuple(map(complex, exact)))
+    ref = period_matrix(ref_curve, build_cycles(ref_curve, layout))
+    assert np.abs(Z - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
 def test_build_cycles_layouts():
