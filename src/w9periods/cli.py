@@ -341,26 +341,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_global_flags(parser, suppress: bool) -> None:
-    def default(v):
-        return argparse.SUPPRESS if suppress else v
-
-    parser.add_argument("--format", choices=("json", "csv"),
-                        default=default("json"))
-    parser.add_argument("--out", default=default(None))
+# --format and --out, taken by parse_args from either side of the subcommand
+_GLOBAL_FLAGS = _Parser(add_help=False)
+_GLOBAL_FLAGS.add_argument("--format", choices=("json", "csv"), default="json")
+_GLOBAL_FLAGS.add_argument("--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="w9periods", description=__doc__)
-    _add_global_flags(parser, suppress=False)
-    # the same flags are accepted after the subcommand; the shared
-    # namespace lets them override the top-level defaults
-    common = _Parser(add_help=False)
-    _add_global_flags(common, suppress=True)
+    parser = _Parser(prog="w9periods", description=__doc__, parents=[_GLOBAL_FLAGS])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("periods", parents=[common],
-                       help="period matrix of a family curve")
+    p = sub.add_parser("periods", help="period matrix of a family curve")
     form = p.add_mutually_exclusive_group(required=True)
     form.add_argument("--roots")
     form.add_argument("--s")
@@ -368,24 +359,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=tuple(BASES), default="genus2_w9")
     p.set_defaults(func=cmd_periods, csv=True)
 
-    p = sub.add_parser("theta", parents=[common], help="theta constant with a characteristic")
+    p = sub.add_parser("theta", help="theta constant with a characteristic")
     p.add_argument("--char", required=True)
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=cmd_theta)
 
-    p = sub.add_parser("trace", parents=[common], help="trace the geodesic over a t grid")
+    p = sub.add_parser("trace", help="trace the geodesic over a t grid")
     p.add_argument("--from", dest="t_start", required=True)
     p.add_argument("--to", dest="t_end", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=cmd_trace, csv=True)
 
-    p = sub.add_parser("verify", parents=[common], help="end-to-end family checks at s")
+    p = sub.add_parser("verify", help="end-to-end family checks at s")
     form = p.add_mutually_exclusive_group(required=True)
     form.add_argument("--s")
     form.add_argument("--grid", type=int)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("classify", parents=[common], help="automorphism classification")
+    p = sub.add_parser("classify", help="automorphism classification")
     form = p.add_mutually_exclusive_group(required=True)
     form.add_argument("--abc")
     form.add_argument("--s")
@@ -393,21 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_flags_before_command(argv) -> None:
-    """Refuse an unknown flag before the subcommand by its name, where the
-    top-level parser would take the flag's value for the subcommand."""
-    lead = _Parser(add_help=False)
-    _add_global_flags(lead, suppress=True)
-    lead.add_argument("-h", "--help", action="store_true")
-    lead.add_argument("rest", nargs=argparse.REMAINDER)
-    if unknown := lead.parse_known_args(argv)[1]:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line as main reads it: the global flags from either side
+    of the subcommand, then the rest.  Any other flag before the subcommand
+    is refused by its name, where the parser would take the flag's value
+    for the subcommand."""
+    flags, rest = _GLOBAL_FLAGS.parse_known_args(argv)
+    command = next((i for i, a in enumerate(rest) if not a.startswith("-")), len(rest))
+    if unknown := [a for a in rest[:command] if a not in ("-h", "--help")]:
         raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return build_parser().parse_args(rest, namespace=flags)
 
 
 def main(argv=None) -> int:
     try:
-        _refuse_flags_before_command(argv)
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         if args.format == "csv" and not getattr(args, "csv", False):
             raise UsageError(f"{args.command} has no CSV form; use --format json")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):

@@ -23,18 +23,20 @@ taken from above.  It reproduces the exact period matrices of the
 and test_sqrt_determination_chain checks the genus-2 midpoint anchors
 against continuation between arcs.
 
-Mirror pairs: when the branch points are closed under x -> -x,
-P(-x) = (-1)^n P(x) for n = len(branch_points).  Let arc j run from z0
-to z1 and arc i be its negated reverse, from -z1 to -z0.  Substituting
-x = -y turns I_j,k = int_j x^(k-1) dx / S_j(x) into (-1)^(k+1) times
-int_i y^(k-1) dy / S_j(-y).  S_j(-y) squares to (-1)^n P(y) and is
-continuous on arc i, so it is eps * S_i(y) for a constant eps, read off
-at the midpoints: eps = S_j(m_j) / S_i(-m_j) = A_j / A_i.  Hence
-I_j,k = (-1)^(k+1) I_i,k / eps, where eps^2 = (-1)^n makes eps = +-1 for
-even degree and +-i for odd degree; it is rounded to that unit.
-period_matrices integrates arc i and derives arc j: on the cover the arcs
--c -> -b and -b -> -a give b -> c and a -> b.  The mirror of an arc has
-the clearance of the arc, so no clearance check is lost.
+Mirror pairs: when the branch points are exactly closed under x -> -x,
+P(-x) = (-1)^n P(x) for n = len(branch_points); a curve closed only to
+a tolerance has no such relation and integrates every arc.  Let arc j
+run from z0 to z1 and arc i be its negated reverse, from -z1 to -z0.
+Substituting x = -y turns I_j,k = int_j x^(k-1) dx / S_j(x) into
+(-1)^(k+1) times int_i y^(k-1) dy / S_j(-y).  S_j(-y) squares to
+(-1)^n P(y) and is continuous on arc i, so it is eps * S_i(y) for a
+constant eps, read off at the midpoints: eps = S_j(m_j) / S_i(-m_j) =
+A_j / A_i.  Hence I_j,k = (-1)^(k+1) I_i,k / eps, where eps^2 = (-1)^n
+makes eps = +-1 for even degree and +-i for odd degree; it is rounded to
+that unit.  period_matrices integrates arc i and derives arc j: on the
+cover the arcs -c -> -b and -b -> -a give b -> c and a -> b.  The
+mirror of an arc has the clearance of the arc, so no clearance check is
+lost.
 
 The integrand in theta: on the arc from z0 to z1 put x = m + h u,
 u = cos(theta), m = (z0 + z1) / 2, h = (z1 - z0) / 2.  Over the foreign
@@ -90,7 +92,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,13 +150,6 @@ class HyperellipticCurve:
     def clearance(self) -> float:
         return self._clearance
 
-    @cached_property
-    def closed_under_negation(self) -> bool:
-        """True iff -r is a branch point, to MIN_ROOT_SEPARATION, for all r."""
-        pts = np.array(self.branch_points)
-        return bool(np.abs(np.add.outer(pts, pts)).min(axis=1).max()
-                    <= MIN_ROOT_SEPARATION)
-
 
 @dataclass(frozen=True)
 class ArcPath:
@@ -203,10 +198,7 @@ class CyclePlan:
 
 def _segment_distance(z0: complex, z1: complex, p: complex) -> float:
     d = z1 - z0
-    L2 = abs(d) ** 2
-    if L2 == 0:
-        return abs(p - z0)
-    t = ((p - z0) * d.conjugate()).real / L2
+    t = ((p - z0) * d.conjugate()).real / abs(d) ** 2
     t = min(1.0, max(0.0, t))
     return abs(p - (z0 + t * d))
 
@@ -354,11 +346,8 @@ def _pieces(points: dict) -> tuple:
     """The pieces (p, length, depth) of a quarter with grading points
     p -> width: cut at the midpoints between the points, each piece runs
     from p over the signed length, graded toward p to the depth whose
-    first panel is no wider than the width."""
-    if not points:  # one panel
-        return ((0.0, QUARTER, 0),)
-    if len(points) == 1 and 0.0 in points:
-        return ((0.0, QUARTER, _depth(QUARTER, points[0.0])),)
+    first panel is no wider than the width; with no points, one panel."""
+    points = points or {0.0: QUARTER}
     ps = sorted(points)
     cuts = [0.0] + [0.5 * (a + b) for a, b in zip(ps, ps[1:])] + [QUARTER]
     return tuple((p, length, _depth(abs(length), points[p]))
@@ -445,14 +434,14 @@ class PeriodPair:
 def period_matrices(curve: HyperellipticCurve, plan: CyclePlan) -> PeriodPair:
     """Assemble A and B from the plan's integer combinations of arc integrals.
 
-    On a curve closed under x -> -x an arc whose negated reverse is
-    already integrated is derived from it (see the module docstring).
+    On a curve exactly closed under x -> -x an arc whose negated reverse
+    is already integrated is derived from it (see the module docstring).
     """
     g = plan.genus
     if curve.genus != g:
         raise LayoutError(f"curve genus {curve.genus} != plan genus {g}")
     pts = curve.branch_points
-    mirror = curve.closed_under_negation
+    mirror = {-p for p in pts} == set(pts)
     integrals = np.zeros((len(plan.arcs), g), dtype=complex)
     integrated = {}  # (start, end) of each integrated arc -> its row
     for j in plan.used_arcs():
@@ -464,9 +453,10 @@ def period_matrices(curve: HyperellipticCurve, plan: CyclePlan) -> PeriodPair:
             continue
         # I_j,k = (-1)^(k+1) I_i,k / eps, eps = A_j / A_i rounded to its unit,
         # both anchors as arc_integrals forms them (the principal root of a
-        # negative real depends on the sign of its zero)
-        twin = plan.arcs[i]
-        ratio = _anchor(arc, _foreign(pts, arc)) / _anchor(twin, _foreign(pts, twin))
+        # negative real depends on the sign of its zero); the twin's foreign
+        # points are the negatives of the arc's
+        foreign = _foreign(pts, arc)
+        ratio = _anchor(arc, foreign) / _anchor(plan.arcs[i], [-r for r in foreign])
         integrals[j] = integrals[i] / complex(round(ratio.real), round(ratio.imag))
         integrals[j, 1::2] *= -1.0
     return PeriodPair(np.array(plan.alpha_rows) @ integrals,

@@ -19,6 +19,7 @@ vanishing of the single even theta constant theta[1,1,1; 1,0,1].
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import (DegeneracyError, LayoutError, ParameterError,
                      ShapeMismatchError)
-from .periods import HyperellipticCurve
+from .periods import NEAR_REAL, HyperellipticCurve
 from .siegel import is_riemann_matrix
 from .theta import ThetaCharacteristic, theta_char
 
@@ -119,17 +120,19 @@ def double_cover(curve: HyperellipticCurve) -> HyperellipticCurve:
     Expects the genus-2 branch points {-1, 0, a^2, b^2, c^2} with positive
     squares; under the covering map (z, w) -> (z^2, z w) the root -1
     lifts to +-i, each positive root to its pair of square roots, and 0
-    to the unramified point z = 0.
+    to the unramified point z = 0.  The positive roots are lifted as
+    given, imaginary parts within NEAR_REAL included; their negatives are
+    formed as 0.0 - z, which keeps a real root's +0.0 imaginary part.
     """
     pts = sorted(curve.branch_points, key=lambda p: p.real)
-    if len(pts) != 5 or any(abs(p.imag) > 1e-9 for p in pts):
+    if len(pts) != 5 or any(abs(p.imag) > NEAR_REAL for p in pts):
         raise LayoutError("double cover needs 5 real branch points")
     if abs(pts[0] + 1) > 1e-9 or abs(pts[1]) > 1e-9 or pts[2].real <= 0:
         raise LayoutError(
             "double cover expects branch points -1, 0 and three positive reals"
         )
-    a, b, c = (math.sqrt(p.real) for p in pts[2:])
-    return HyperellipticCurve((-c, -b, -a, 1j, -1j, a, b, c))
+    a, b, c = (cmath.sqrt(p) for p in pts[2:])
+    return HyperellipticCurve((0.0 - c, 0.0 - b, 0.0 - a, 1j, -1j, a, b, c))
 
 
 @dataclass(frozen=True, slots=True)

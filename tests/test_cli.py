@@ -451,12 +451,12 @@ def test_determinism(capsys):
 
 def test_readme_examples_parse():
     # every example of the README's "Command line" section is a valid
-    # command line; parsed only, nothing runs
+    # command line; parsed only, as main parses it, nothing runs
     section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     lines = [line for line in section.splitlines() if line.startswith("w9periods ")]
     assert len(lines) == 12
     for line in lines:
-        cli.build_parser().parse_args(shlex.split(line)[1:])
+        cli.parse_args(shlex.split(line)[1:])
 
 
 def test_readme_library_names_exist():

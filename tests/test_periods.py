@@ -208,6 +208,27 @@ def test_mirror_pairs_match_direct_integration(monkeypatch, s):
         assert np.array_equal(row, direct[j])
 
 
+# a cover whose branch points are closed under x -> -x only to 1e-13
+NEAR_MIRROR = (-3.0, -2.0, -1.0, 1j, -1j, 1.0, 2.0, 3.0 + 1e-13)
+
+
+def test_near_mirror_integrates_every_arc(monkeypatch):
+    # 3 + 1e-13 and -3 do not mirror each other, so 1 -> 2 is not derived
+    # from -2 -> -1: every basis row is its arc's direct integral
+    curve = HyperellipticCurve(NEAR_MIRROR)
+    cover = build_cycles(curve, LAYOUT_COVER)
+    eye = np.eye(len(cover.arcs), dtype=int)
+    plan = periods.CyclePlan(LAYOUT_COVER, cover.arcs,
+                             tuple(map(tuple, eye[[0, 1, 2]])),
+                             tuple(map(tuple, eye[[3, 5, 6]])))
+    direct = {j: arc_integrals(curve, cover.arcs[j]) for j in plan.used_arcs()}
+    calls = _count_arc_integrals(monkeypatch)
+    pair = period_matrices(curve, plan)
+    assert calls == [cover.arcs[j] for j in (0, 1, 2, 3, 5, 6)]
+    for row, j in zip(np.vstack([pair.A, pair.B]), (0, 1, 2, 3, 5, 6)):
+        assert np.array_equal(row, direct[j]), j
+
+
 def test_mirror_pair_odd_degree(monkeypatch):
     # y^2 = x^3 - x: P(-x) = -P(x), so eps = A_j / A_i is +-i, and the arc
     # 0 -> 1 is derived from -1 -> 0; tau is still i
@@ -226,11 +247,13 @@ def test_mirror_pair_odd_degree(monkeypatch):
 
 def test_period_matrix_arc_count(monkeypatch):
     # work counter: the cover integrates one arc of each mirror pair, 4 of
-    # its 6 used arcs; genus 2 has no mirror symmetry and integrates all 4
+    # its 6 used arcs; genus 2 has no mirror symmetry and integrates all 4,
+    # as does a cover closed under x -> -x only to 1e-13
     calls = _count_arc_integrals(monkeypatch)
     base = w9.curve_Qs(S_SQUARE)
     for curve, layout, count in ((w9.double_cover(base), LAYOUT_COVER, 4),
-                                 (base, LAYOUT_GENUS2, 4)):
+                                 (base, LAYOUT_GENUS2, 4),
+                                 (HyperellipticCurve(NEAR_MIRROR), LAYOUT_COVER, 6)):
         calls.clear()
         period_matrix(curve, build_cycles(curve, layout))
         assert len(calls) == count, layout

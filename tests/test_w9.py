@@ -7,8 +7,8 @@ from conftest import S_SQUARE, Z1, ZHAT1
 from w9periods import w9
 from w9periods.errors import (DegeneracyError, LayoutError, ParameterError,
                               ShapeMismatchError)
-from w9periods.periods import (LAYOUT_COVER, LAYOUT_GENUS2, build_cycles,
-                               period_matrix)
+from w9periods.periods import (LAYOUT_COVER, LAYOUT_GENUS2, HyperellipticCurve,
+                               build_cycles, period_matrix)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -182,6 +182,28 @@ def test_base_from_cover_vs_direct_quadrature():
         Zhat = period_matrix(cover, build_cycles(cover, LAYOUT_COVER))
         Z = period_matrix(base, build_cycles(base, LAYOUT_GENUS2))
         assert np.abs(Z - w9.base_from_cover(Zhat)).max() <= 1e-14 * np.abs(Z).max(), s
+
+
+@pytest.mark.parametrize("roots", [(-1, 0, 1, 2, 3 + 1e-10j),
+                                   (-1, 0, 1 + 4e-10j, 2, 3),
+                                   (-1, 0, 0.3, 1.7, 5 - 2e-10j)])
+def test_cover_of_nearly_real_roots(roots):
+    # the cover lifts the roots as given, imaginary parts included, so its
+    # base matrix is the genus-2 matrix of the same curve; a cover of the
+    # real parts alone is off by 1.6e-11 to 9.3e-11
+    base = HyperellipticCurve(tuple(map(complex, roots)))
+    cover = w9.double_cover(base)
+    Zhat = period_matrix(cover, build_cycles(cover, LAYOUT_COVER))
+    Z = period_matrix(base, build_cycles(base, LAYOUT_GENUS2))
+    assert np.abs(Z - w9.base_from_cover(Zhat)).max() <= 1e-14
+
+
+def test_cover_of_nearly_real_small_root_refused():
+    # sqrt(1e-12 + 1e-10i) lies 7e-6 off the real axis, beyond what the
+    # cover layout takes as real
+    cover = w9.double_cover(HyperellipticCurve((-1, 0, 1e-12 + 1e-10j, 2, 3)))
+    with pytest.raises(LayoutError, match="six real branch points"):
+        build_cycles(cover, LAYOUT_COVER)
 
 
 def test_cirre_classify_cases():
