@@ -76,33 +76,22 @@ def _branch_abc(s: float) -> tuple[float, float, float]:
     return s * s, f3(f3(s)).real ** 2, f3(s).real ** 2
 
 
-def _polish_root(coeffs: np.ndarray, x: complex) -> complex:
-    """Newton-polish a polynomial root to residual below 1e-13 relative to
-    the magnitude of the evaluated terms."""
-    deriv = np.polyder(coeffs)
-    for _ in range(50):
-        val = np.polyval(coeffs, x)
-        scale = np.polyval(np.abs(coeffs), abs(x)) + 1.0
-        if abs(val) < 1e-13 * scale:
-            return x
-        dv = np.polyval(deriv, x)
-        if dv == 0:
-            break
-        x = x - val / dv
-    raise DegeneracyError("cubic root polish did not converge (repeated root?)")
-
-
 def curve_Pu(u) -> HyperellipticCurve:
-    """The quintic curve y^2 = x (x - 1) (x^3 + u x^2 - (8/3) u x + (16/9) u),
-    for |u| <= 3.5e102: its cubic's terms at the root near -u reach 2 |u|^3."""
-    if u in (0, -9) or not abs(u) <= 3.5e102:  # not finite, or the cubic overflows
-        raise ParameterError(f"u = {u} is excluded: need u != 0, -9, |u| <= 3.5e102")
-    coeffs = np.array([1.0, u, -8.0 * u / 3.0, 16.0 * u / 9.0], dtype=complex)
-    cubic = [_polish_root(coeffs, r) for r in np.roots(coeffs)]
-    pts = [0.0 + 0j, 1.0 + 0j] + cubic
-    if isinstance(u, float) or isinstance(u, int):
-        pts = [p.real + 0j if abs(p.imag) < 1e-10 else p for p in pts]
-    return HyperellipticCurve(tuple(pts))
+    """The quintic curve y^2 = x (x - 1) (x^3 + u x^2 - (8/3) u x + (16/9) u).
+
+    For complex u != 0, -9 the cubic's roots are sec^2(pi/6 - eps),
+    sec^2(pi/6 + eps) and 1/sin^2(eps), eps = asin(3 / sqrt(-u)) / 3.  For
+    u < -9, eps is the real angle to the far cusp and each root has full
+    relative accuracy; no cubic is formed, so none overflows, and the
+    curve's modulus bound refuses |u| > 2.82e+102.
+    """
+    if u in (0, -9) or not cmath.isfinite(u):
+        raise ParameterError(f"u = {u} is excluded: need finite u != 0, -9")
+    eps = cmath.asin(3.0 / cmath.sqrt(-u)) / 3.0
+    cubic = (1.0 / cmath.cos(math.pi / 6.0 - eps) ** 2,
+             1.0 / cmath.cos(math.pi / 6.0 + eps) ** 2,
+             1.0 / cmath.sin(eps) ** 2)
+    return HyperellipticCurve((0.0 + 0j, 1.0 + 0j) + cubic)
 
 
 def curve_Qs(s: float) -> HyperellipticCurve:
@@ -115,24 +104,25 @@ def curve_Qs(s: float) -> HyperellipticCurve:
 
 
 def double_cover(curve: HyperellipticCurve) -> HyperellipticCurve:
-    """Genus-3 cover y^2 = (z^2 + 1)(z^2 - a^2)(z^2 - b^2)(z^2 - c^2).
+    """Genus-3 cover y^2 = (z^2 - p)(z^2 - a^2)(z^2 - b^2)(z^2 - c^2).
 
-    Expects the genus-2 branch points {-1, 0, a^2, b^2, c^2} with positive
-    squares; under the covering map (z, w) -> (z^2, z w) the root -1
-    lifts to +-i, each positive root to its pair of square roots, and 0
-    to the unramified point z = 0.  The positive roots are lifted as
-    given, imaginary parts within NEAR_REAL included; their negatives are
-    formed as 0.0 - z, which keeps a real root's +0.0 imaginary part.
+    Expects the genus-2 branch points {p, 0, a^2, b^2, c^2}, p within 1e-9
+    of -1, with positive squares; under the covering map (z, w) ->
+    (z^2, z w) each root other than 0 lifts to its pair of square roots,
+    and 0 to the unramified point z = 0.  Every root is lifted as given,
+    imaginary parts within NEAR_REAL included; the negatives are formed as
+    0.0 - z, which keeps a real root's +0.0 imaginary part.  A nonzero
+    root near 0 has no lift in this layout and raises LayoutError.
     """
     pts = sorted(curve.branch_points, key=lambda p: p.real)
     if len(pts) != 5 or any(abs(p.imag) > NEAR_REAL for p in pts):
         raise LayoutError("double cover needs 5 real branch points")
-    if abs(pts[0] + 1) > 1e-9 or abs(pts[1]) > 1e-9 or pts[2].real <= 0:
+    if abs(pts[0] + 1) > 1e-9 or pts[1] != 0 or pts[2].real <= 0:
         raise LayoutError(
-            "double cover expects branch points -1, 0 and three positive reals"
+            "double cover expects branch points -1, exactly 0 and three positive reals"
         )
-    a, b, c = (cmath.sqrt(p) for p in pts[2:])
-    return HyperellipticCurve((0.0 - c, 0.0 - b, 0.0 - a, 1j, -1j, a, b, c))
+    i, a, b, c = (cmath.sqrt(p) for p in (pts[0], *pts[2:]))
+    return HyperellipticCurve((0.0 - c, 0.0 - b, 0.0 - a, i, 0.0 - i, a, b, c))
 
 
 @dataclass(frozen=True, slots=True)

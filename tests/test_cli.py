@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -93,6 +94,34 @@ def test_periods_usage_errors(capsys):
     code, _, _ = run(capsys, "trace", "--from", "1", "--to", "1", "--steps", "1",
                      "--root-tol", "1e-9")
     assert code == 1
+
+
+def _t_of_periods_u(capsys, u: str) -> float:
+    code, out, _ = run(capsys, "periods", f"--u={u}")
+    assert code == 0, u
+    Z = as_matrix(json.loads(out)["Z"])
+    return Z[1, 1].imag - Z[0, 1].imag / 2
+
+
+def test_periods_u_matches_agm(capsys):
+    # t(u) = AGM(1, k') / AGM(1, k) with k = 3 / sqrt(-u) (Borwein and
+    # Borwein, Pi and the AGM, ch. 1-2).  Toward the far cusp t ~ (2/pi)
+    # ln(4/k), and float64 places the two roots near 4/3, delta = 3.08 /
+    # sqrt(-u) apart, to a few 2^-53, so t moves by (2/pi) ddelta / delta.
+    # The pair's two errors sum to at most 6.5 2^-53 (400 u in [-1e24,
+    # -1e3]): C = 1.4; C = 4 also covers the quadrature's own ulps of t
+    # near u = -20.
+    for u in map(float, -np.geomspace(10.0, 1e24, 24)):
+        with mpmath.workdps(40):
+            k = 3 / mpmath.sqrt(-mpmath.mpf(u))
+            exact = mpmath.agm(1, mpmath.sqrt(1 - k * k)) / mpmath.agm(1, k)
+        err = abs(_t_of_periods_u(capsys, repr(u)) - float(exact))
+        assert err <= 4 * 2.0**-53 * math.sqrt(-u), u
+
+
+def test_periods_u_far_cusp_returns_matrix(capsys):
+    # t = 10.44, with the pair of roots near 4/3 3.1e-7 apart
+    assert abs(_t_of_periods_u(capsys, "-1e14") - 10.444242) < 1e-6
 
 
 def test_periods_unwritable_out(capsys, tmp_path, monkeypatch):
@@ -357,8 +386,11 @@ def test_classify_s(capsys):
 @pytest.mark.parametrize("argv, code, fragment", [
     pytest.param(["periods", "--roots=-1,0,1,1e160,2e160"], 2,
                  "modulus <= 2.82e+102", id="periods-products-overflow"),
-    pytest.param(["periods", "--u", "1e300"], 2, "|u| <= 3.5e102",
+    pytest.param(["periods", "--u", "1e300"], 2, "modulus <= 2.82e+102",
                  id="periods-u-cubic-overflows"),
+    # the pair of roots near 4/3 lies within MIN_ROOT_SEPARATION
+    pytest.param(["periods", "--u=-1e26"], 2, "coincide",
+                 id="periods-u-close-pair-coincides"),
     pytest.param(["theta", "--char", "0;0", "--matrix", "[[1e-300i]]"], 2,
                  "MAX_RADIUS = 60 (Im(Z) too small: lambda_min = 1.000e-300)",
                  id="theta-radius-too-large"),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,10 +91,39 @@ def test_curve_pu_fixture():
         w9.curve_Pu(-9)
     with pytest.raises(ParameterError):
         w9.curve_Pu(math.inf)
-    # the cubic's terms at its root near -u would overflow
-    for u in (1e300, -4e102):
-        with pytest.raises(ParameterError, match=r"\|u\| <= 3\.5e102"):
+    # the root near -u exceeds the curve's modulus bound
+    for u in (1e300, -4e102, -3.4e102):
+        with pytest.raises(ParameterError, match=r"modulus <= 2\.82e\+102"):
             w9.curve_Pu(u)
+
+
+def _cubic_root_error(u) -> float:
+    """Largest relative distance of an exact root of the cubic from the
+    nearest root of curve_Pu(u), against 50-digit mpmath.polyroots."""
+    with mpmath.workdps(50):
+        mu = mpmath.mpmathify(u)
+        exact = mpmath.polyroots([1, mu, -8 * mu / 3, 16 * mu / 9],
+                                 maxsteps=200, extraprec=200)
+        got = [mpmath.mpc(r) for r in w9.curve_Pu(u).branch_points[2:]]
+        return float(max(min(abs(g - r) for g in got) / abs(r) for r in exact))
+
+
+def test_curve_pu_roots_match_mpmath():
+    # full relative accuracy along the family, the close pair near 4/3
+    # included: a few rounding units of eps, doubled by the squares (8.6e-16
+    # at most on 600 points)
+    for u in -np.geomspace(9.5, 1e24, 47):
+        assert _cubic_root_error(float(u)) <= 2.0**-49, u
+    # complex u and -9 < u < 0 take the same three expressions; -8.99 sits
+    # next to the double root 4 of u = -9, where the cubic is ill-conditioned
+    rng = np.random.default_rng(26)
+    listed = [-8.99, -5.0, -1.0, 0.001, 2.0, 50.0, 3 + 4j, -20 + 0.001j]
+    for u in listed + list(30 * (rng.normal(size=20) + 1j * rng.normal(size=20))):
+        assert _cubic_root_error(u) <= 4e-15, u
+    # the pair near 4/3 lies 3.1/sqrt(-u) apart: from about u = -1e25 closer
+    # than MIN_ROOT_SEPARATION
+    with pytest.raises(DegeneracyError, match="coincide"):
+        w9.curve_Pu(-1e26)
 
 
 def test_curve_pu_roots_real_iff_below_minus9():
@@ -186,16 +216,27 @@ def test_base_from_cover_vs_direct_quadrature():
 
 @pytest.mark.parametrize("roots", [(-1, 0, 1, 2, 3 + 1e-10j),
                                    (-1, 0, 1 + 4e-10j, 2, 3),
-                                   (-1, 0, 0.3, 1.7, 5 - 2e-10j)])
+                                   (-1, 0, 0.3, 1.7, 5 - 2e-10j),
+                                   (-1 - 5e-10, 0, 1, 2, 3),
+                                   (-1 + 5e-10j, 0, 1, 2, 3),
+                                   (-1 + 3e-10, 0, 1, 2, 3)])
 def test_cover_of_nearly_real_roots(roots):
-    # the cover lifts the roots as given, imaginary parts included, so its
-    # base matrix is the genus-2 matrix of the same curve; a cover of the
-    # real parts alone is off by 1.6e-11 to 9.3e-11
+    # the cover lifts the roots as given, imaginary parts and the root near
+    # -1 included, so its base matrix is the genus-2 matrix of the same
+    # curve; a cover of the real parts alone is off by 1.6e-11 to 9.3e-11,
+    # one that lifts the root near -1 to +-i by 8e-11 to 1.3e-10
     base = HyperellipticCurve(tuple(map(complex, roots)))
     cover = w9.double_cover(base)
     Zhat = period_matrix(cover, build_cycles(cover, LAYOUT_COVER))
     Z = period_matrix(base, build_cycles(base, LAYOUT_GENUS2))
     assert np.abs(Z - w9.base_from_cover(Zhat)).max() <= 1e-14
+
+
+def test_cover_of_nonzero_root_near_zero_refused():
+    # 0 lifts to the unramified point z = 0; a root 5e-10 away has no lift
+    # in this layout (taken as 0, the base matrix was 1.9e-10 off)
+    with pytest.raises(LayoutError, match="exactly 0"):
+        w9.double_cover(HyperellipticCurve((-1, 5e-10, 1, 2, 3)))
 
 
 def test_cover_of_nearly_real_small_root_refused():
