@@ -109,7 +109,7 @@ def test_periods_u_matches_agm(capsys):
     # ln(4/k), and float64 places the two roots near 4/3, delta = 3.08 /
     # sqrt(-u) apart, to a few 2^-53, so t moves by (2/pi) ddelta / delta.
     # The pair's two errors sum to at most 6.5 2^-53 (400 u in [-1e24,
-    # -1e3]): C = 1.4; C = 4 also covers the quadrature's own ulps of t
+    # -1e3]): C = 1.35; C = 4 also covers the quadrature's own ulps of t
     # near u = -20.
     for u in map(float, -np.geomspace(10.0, 1e24, 24)):
         with mpmath.workdps(40):
